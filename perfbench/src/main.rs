@@ -2,16 +2,16 @@
 //!
 //! ```text
 //! perfbench --workload <solver_bound|search_bound|service_mix> --seed <n>
-//!           --seconds <s> --trace <0|1> [--repro]
+//!           --seconds <s> --trace <0|1>
 //! ```
 //!
 //! `--trace 0` runs the workload with telemetry off and prints the
-//! end-to-end metrics; `--trace 1` runs it untraced and then traced and
-//! prints the per-layer metrics. Every output is checked after the timed
-//! region. The last stdout line is one JSON object
-//! `{"correct", "attempted", "failed", "metrics"}`; the exit code is
-//! non-zero when any request failed or any check did not hold. See
-//! `README.md` next to this file.
+//! end-to-end metrics; `--trace 1` runs it untraced and then traced twice,
+//! checks that all three runs agree, and prints the per-layer metrics.
+//! Every output is checked after the timed region. The last stdout line is
+//! one JSON object `{"correct", "attempted", "failed", "metrics"}`; the
+//! exit code is non-zero when any request failed or any check did not
+//! hold. See `README.md` next to this file.
 
 mod check;
 mod plan;
@@ -24,18 +24,32 @@ use k2_api::{
     BackendKind, EngineConfig, K2Config, K2Session, OptimizationGoal, OptimizeRequest,
     OptimizeResponse, SearchParams,
 };
-use k2_core::TelemetrySnapshot;
+use k2_core::{Recorder, Telemetry, TelemetryRef, TelemetrySnapshot};
 use plan::{Plan, Workload};
 use stats::{median, percentile_reportable, quantile, Metrics, SelfTimes, SpanTotals};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Times the set-up is repeated; `setup_s` is the median.
-const SETUP_REPS: usize = 15;
+/// The untraced run serves the plan in this many consecutive slices, with
+/// a set-up window before each slice and one after the last, so that
+/// set-up is timed at many moments of the run.
+const SEGMENTS: usize = 12;
+
+/// A set-up window repeats the set-up at least [`SETUP_MIN_REPS`] times and
+/// for at least [`SETUP_MIN_S`] seconds. `setup_s` is the
+/// [`SETUP_QUANTILE`] of all repetitions of a run. A shared machine
+/// alternates, over seconds, between its normal speed and phases about
+/// 1.7 times slower. One set-up takes milliseconds, so the median of the
+/// repetitions follows whether the run happened to be in a slow phase,
+/// while their lower decile is the set-up at normal speed as long as a
+/// tenth of them ran at normal speed.
+const SETUP_MIN_REPS: usize = 5;
+const SETUP_MIN_S: f64 = 0.1;
+const SETUP_QUANTILE: f64 = 0.1;
 
 /// An explicit, empty config file: it takes the place of any `K2_CONFIG`
 /// file, and builder overrides then pin every knob over the environment.
@@ -46,18 +60,12 @@ struct Args {
     seed: u64,
     seconds: u64,
     trace: bool,
-    repro: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = std::env::args().skip(1);
-    let (mut workload, mut seed, mut seconds, mut trace, mut repro) =
-        (None, None, None, None, false);
+    let (mut workload, mut seed, mut seconds, mut trace) = (None, None, None, None);
     while let Some(flag) = args.next() {
-        if flag == "--repro" {
-            repro = true;
-            continue;
-        }
         let value = args.next().ok_or(format!("{flag} needs a value"))?;
         let number = || {
             value
@@ -80,7 +88,6 @@ fn parse_args() -> Result<Args, String> {
         seed: seed.ok_or("--seed is required")?,
         seconds: seconds.ok_or("--seconds is required")?,
         trace: trace.ok_or("--trace is required")?,
-        repro,
     })
 }
 
@@ -200,6 +207,32 @@ fn setup(plan: &Plan, telemetry: bool) -> Result<Setup, String> {
     })
 }
 
+/// Set-up and baseline times of every repetition of a run.
+#[derive(Default)]
+struct SetupTimes {
+    setup_s: Vec<f64>,
+    baseline_s: Vec<f64>,
+}
+
+impl SetupTimes {
+    /// One window of repeated set-ups; returns the last set-up.
+    fn window(&mut self, plan: &Plan) -> Result<Setup, String> {
+        let (mut reps, mut spent) = (0, 0.0);
+        loop {
+            let start = Instant::now();
+            let s = setup(plan, false)?;
+            let elapsed = start.elapsed().as_secs_f64();
+            self.setup_s.push(elapsed);
+            self.baseline_s.push(s.baseline_s);
+            reps += 1;
+            spent += elapsed;
+            if reps >= SETUP_MIN_REPS && spent >= SETUP_MIN_S {
+                return Ok(s);
+            }
+        }
+    }
+}
+
 /// A served request, as its client saw it.
 struct Done {
     response: OptimizeResponse,
@@ -215,8 +248,9 @@ struct Done {
 struct Run {
     /// Per-request outcomes, in plan order.
     results: Vec<Result<Done, String>>,
+    /// Wall time of serving the requests, set-up windows excluded.
     wall_s: f64,
-    /// Process CPU time over the same span.
+    /// Process CPU time over the same spans.
     cpu_s: f64,
     /// Traced runs: every session's telemetry, merged.
     telemetry: Option<TelemetrySnapshot>,
@@ -328,31 +362,50 @@ fn serve(prepared: &Prepared, traced: bool) -> Result<Done, String> {
     })
 }
 
-/// Run the plan: `plan.clients` closed-loop clients each take the next
-/// request when idle.
-fn execute(plan: &Plan, setup: &Setup, traced: bool) -> Run {
+/// Run the plan in `segments` consecutive slices, calling `between` before
+/// every slice but the first, outside the timed spans. Within a slice,
+/// `plan.clients` closed-loop clients each take the next request when idle.
+fn execute(
+    plan: &Plan,
+    setup: &Setup,
+    traced: bool,
+    segments: usize,
+    mut between: impl FnMut() -> Result<(), String>,
+) -> Result<Run, String> {
     let slots: Vec<Mutex<Option<Result<Done, String>>>> =
         plan.requests.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let cpu_start = sys::cpu_s();
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..plan.clients {
-            let (next, slots) = (&next, &slots);
-            scope.spawn(move || loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                let Some(slot) = slots.get(index) else { break };
-                let result =
-                    catch_unwind(AssertUnwindSafe(|| serve(&setup.requests[index], traced)))
-                        .unwrap_or_else(|payload| {
-                            Err(format!("panic: {}", panic_message(payload)))
-                        });
-                *slot.lock().expect("no client panics holding a slot") = Some(result);
-            });
+    let (mut wall_s, mut cpu_s) = (0.0, 0.0);
+    let per_segment = plan.requests.len().div_ceil(segments).max(1);
+    for (segment, first) in (0..plan.requests.len()).step_by(per_segment).enumerate() {
+        if segment > 0 {
+            between()?;
         }
-    });
-    let wall_s = start.elapsed().as_secs_f64();
-    let cpu_s = sys::cpu_s() - cpu_start;
+        let end = (first + per_segment).min(plan.requests.len());
+        let next = AtomicUsize::new(first);
+        let cpu_start = sys::cpu_s();
+        let start = Instant::now();
+        std::thread::scope(|scope| {
+            for _ in 0..plan.clients {
+                let (next, slots) = (&next, &slots);
+                scope.spawn(move || loop {
+                    let index = next.fetch_add(1, Ordering::Relaxed);
+                    if index >= end {
+                        break;
+                    }
+                    let result =
+                        catch_unwind(AssertUnwindSafe(|| serve(&setup.requests[index], traced)))
+                            .unwrap_or_else(|payload| {
+                                Err(format!("panic: {}", panic_message(payload)))
+                            });
+                    *slots[index]
+                        .lock()
+                        .expect("no client panics holding a slot") = Some(result);
+                });
+            }
+        });
+        wall_s += start.elapsed().as_secs_f64();
+        cpu_s += sys::cpu_s() - cpu_start;
+    }
     let telemetry = traced.then(|| {
         let mut merged = TelemetrySnapshot::default();
         for prepared in &setup.requests {
@@ -362,7 +415,7 @@ fn execute(plan: &Plan, setup: &Setup, traced: bool) -> Run {
         }
         merged
     });
-    Run {
+    Ok(Run {
         results: slots
             .into_iter()
             .map(|slot| {
@@ -374,7 +427,7 @@ fn execute(plan: &Plan, setup: &Setup, traced: bool) -> Run {
         wall_s,
         cpu_s,
         telemetry,
-    }
+    })
 }
 
 /// Per-request check outcomes of a run.
@@ -424,26 +477,21 @@ fn outputs(run: &Run) -> Vec<Option<String>> {
         .collect()
 }
 
-/// A stable 64-bit digest (FNV-1a) of some text, printed so two processes
-/// can be compared.
-fn digest(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
-    })
+/// Client-side latencies of a run's served requests.
+fn latencies(run: &Run) -> Vec<f64> {
+    run.results
+        .iter()
+        .filter_map(|r| r.as_ref().ok().map(|d| d.latency_s))
+        .collect()
 }
 
 fn end_to_end(plan: &Plan, run: &Run, checked: &Checked, setup_s: f64) -> Metrics {
-    let latencies: Vec<f64> = run
-        .results
-        .iter()
-        .filter_map(|r| r.as_ref().ok().map(|d| d.latency_s))
-        .collect();
     let scores = || checked.scores.iter().flatten();
     let mut m = Metrics::default();
     m.push("setup_s", setup_s, "s");
     m.push("wall_s", run.wall_s, "s");
     m.push("cpu_s", run.cpu_s, "s");
-    m.push("compile_s_p50", median(&latencies), "s");
+    m.push("compile_s_p50", median(&latencies(run)), "s");
     m.push(
         "requests_per_s",
         plan.requests.len() as f64 / run.wall_s,
@@ -462,12 +510,22 @@ fn end_to_end(plan: &Plan, run: &Run, checked: &Checked, setup_s: f64) -> Metric
     m
 }
 
-/// Seconds a chain's set-up equivalence check of `src` against itself
-/// takes: a fresh checker with the pinned solver pipeline and refutation
-/// batch, as each chain has at set-up. Median of three.
-fn source_check_s(src: &Program) -> f64 {
+/// What a chain's set-up equivalence check of its source against itself
+/// costs.
+#[derive(Debug, Clone, Copy)]
+struct SourceCheck {
+    /// Seconds of the whole check.
+    check_s: f64,
+    /// Seconds of it spent in `bitsmt.solve`.
+    solve_s: f64,
+}
+
+/// Time a chain's set-up check of `src` against itself: a fresh checker
+/// with the pinned solver pipeline and refutation batch, as each chain has
+/// at set-up, with its own recorder for the solver share. Medians of three.
+fn source_check(src: &Program) -> SourceCheck {
     let config = pinned_config(OptimizationGoal::InstructionCount, 1, 0, false);
-    let times: Vec<f64> = (0..3)
+    let (check, solve): (Vec<f64>, Vec<f64>) = (0..3)
         .map(|seed| {
             let mut checker = EquivChecker::new(EquivOptions {
                 window_verification: config.window_verification,
@@ -481,12 +539,22 @@ fn source_check_s(src: &Program) -> f64 {
                 config.refute_inputs,
                 seed,
             ));
+            let recorder = Arc::new(Telemetry::new());
+            checker.set_telemetry(TelemetryRef::new(recorder.clone()));
             let start = Instant::now();
             checker.check_in_window(src, src, None);
-            start.elapsed().as_secs_f64()
+            let check_s = start.elapsed().as_secs_f64();
+            let solve_s = recorder
+                .snapshot()
+                .timer("bitsmt.solve")
+                .map_or(0.0, |t| t.total_us as f64 / 1e6);
+            (check_s, solve_s)
         })
-        .collect();
-    median(&times)
+        .unzip();
+    SourceCheck {
+        check_s: median(&check),
+        solve_s: median(&solve),
+    }
 }
 
 /// Per-layer metrics of a traced run; `untraced_wall_s` is the wall time
@@ -504,8 +572,11 @@ fn per_layer(
         .iter()
         .filter_map(|r| r.as_ref().ok())
         .collect();
-    let mut source_checks: BTreeMap<&str, f64> = BTreeMap::new();
+    let mut source_checks: BTreeMap<&str, SourceCheck> = BTreeMap::new();
     let mut layers = SelfTimes::default();
+    // Solver time inside the chain loop: each request's total less one
+    // set-up proof of the source per chain.
+    let mut solve_loop_s = 0.0;
     for ((request, prepared), result) in plan
         .requests
         .iter()
@@ -513,14 +584,21 @@ fn per_layer(
         .zip(&traced.results)
     {
         if let Some(spans) = result.as_ref().ok().and_then(|d| d.spans) {
-            let source_check_s = *source_checks
+            let source = *source_checks
                 .entry(request.program)
-                .or_insert_with(|| source_check_s(&prepared.src));
+                .or_insert_with(|| source_check(&prepared.src));
             layers.add(&SelfTimes::split(&SpanTotals {
-                source_check_s,
+                source_check_s: source.check_s,
                 ..spans
             }));
+            solve_loop_s += (spans.solve_s - spans.chains as f64 * source.solve_s).max(0.0);
         }
+    }
+    for (program, source) in &source_checks {
+        println!(
+            "source check of {program}: {:.4} s, {:.4} s of it in bitsmt.solve",
+            source.check_s, source.solve_s
+        );
     }
     let reports = || done.iter().map(|d| &d.response.report);
     let sum = |f: &dyn Fn(&k2_api::ReportSummary) -> u64| reports().map(f).sum::<u64>();
@@ -541,6 +619,7 @@ fn per_layer(
     let mut m = Metrics::default();
     // bitsmt
     m.push("bitsmt.solve_s", layers.solve, "s");
+    m.push("bitsmt.solve_loop_s", solve_loop_s, "s");
     m.push("bitsmt.bitblast_s", layers.bitblast, "s");
     m.push("bitsmt.solve_ms_p90", tail_ms("bitsmt.solve"), "ms");
     let queries = counter("bitsmt.queries");
@@ -692,18 +771,10 @@ fn run(args: &Args) -> Result<bool, String> {
         plan.clients,
     );
 
-    // Set-up, repeated; the last one is used.
-    let mut setup_times = Vec::with_capacity(SETUP_REPS);
-    let mut baseline_times = Vec::with_capacity(SETUP_REPS);
-    let mut prepared = None;
-    for _ in 0..SETUP_REPS {
-        let start = Instant::now();
-        let s = setup(&plan, false)?;
-        setup_times.push(start.elapsed().as_secs_f64());
-        baseline_times.push(s.baseline_s);
-        prepared = Some(s);
-    }
-    let prepared = prepared.expect("at least one set-up");
+    // The last set-up of the first window serves the run; the others are
+    // only timed.
+    let mut times = SetupTimes::default();
+    let prepared = times.window(&plan)?;
     if let Some(first) = prepared.requests.first() {
         println!(
             "config: {:?}, chains: {} (Table 8 settings), cpus: {}",
@@ -712,49 +783,57 @@ fn run(args: &Args) -> Result<bool, String> {
             std::thread::available_parallelism().map_or(0, |n| n.get())
         );
     }
-
-    let run = execute(&plan, &prepared, false);
+    let run = execute(&plan, &prepared, false, SEGMENTS, || {
+        times.window(&plan).map(drop)
+    })?;
+    times.window(&plan)?;
+    println!(
+        "set-up: {} repetitions, lower decile {} s, median {} s",
+        times.setup_s.len(),
+        quantile(&times.setup_s, SETUP_QUANTILE),
+        median(&times.setup_s)
+    );
     let checked = check_run(&plan, &prepared, &run);
     let mut failures = checked.failures.clone();
 
-    let metrics = if args.trace || args.repro {
+    let metrics = if args.trace {
+        // Two traced runs of the same plan. Telemetry only records, so both
+        // must return the untraced run's programs and scores; the search is
+        // deterministic, so both must record the same counts.
         let traced_setup = setup(&plan, true)?;
-        let traced = execute(&plan, &traced_setup, true);
-        if outputs(&traced) != outputs(&run) {
-            failures.push("traced and untraced runs returned different programs".into());
-        }
-        let traced_checked = check_run(&plan, &traced_setup, &traced);
-        failures.extend(
-            traced_checked
-                .failures
-                .iter()
-                .map(|f| format!("traced {f}")),
-        );
-        let counts = traced.telemetry.clone().unwrap_or_default().counts_only();
-        println!(
-            "digest: outputs={:016x} counts_only={:016x}",
-            digest(&format!("{:?}", outputs(&run))),
-            digest(&counts.to_json_string())
-        );
-        if args.repro {
-            let again_setup = setup(&plan, true)?;
-            let again = execute(&plan, &again_setup, true);
-            let again_counts = again.telemetry.clone().unwrap_or_default().counts_only();
-            let again_checked = check_run(&plan, &again_setup, &again);
-            let same = outputs(&again) == outputs(&run)
-                && again_counts == counts
-                && again_checked.scores == checked.scores;
-            println!("repro: {}", if same { "identical" } else { "DIFFERENT" });
-            if !same {
-                failures.push("same-seed traced runs differ".into());
+        let traced = execute(&plan, &traced_setup, true, 1, || Ok(()))?;
+        let again_setup = setup(&plan, true)?;
+        let again = execute(&plan, &again_setup, true, 1, || Ok(()))?;
+        for (label, other, other_setup) in [
+            ("traced", &traced, &traced_setup),
+            ("second traced", &again, &again_setup),
+        ] {
+            if outputs(other) != outputs(&run) {
+                failures.push(format!(
+                    "{label} and untraced runs returned different programs"
+                ));
             }
+            let other_checked = check_run(&plan, other_setup, other);
+            if other_checked.scores != checked.scores {
+                failures.push(format!("{label} and untraced runs scored differently"));
+            }
+            failures.extend(
+                other_checked
+                    .failures
+                    .iter()
+                    .map(|f| format!("{label} {f}")),
+            );
+        }
+        let counts = |r: &Run| r.telemetry.clone().unwrap_or_default().counts_only();
+        if counts(&traced) != counts(&again) {
+            failures.push("same-seed traced runs recorded different counts".into());
         }
         let (m, layers) = per_layer(
             &plan,
             &traced_setup,
             &traced,
             run.wall_s,
-            median(&baseline_times),
+            quantile(&times.baseline_s, SETUP_QUANTILE),
         );
         let mut named = layers.named();
         named.sort_by(|a, b| b.1.total_cmp(&a.1));
@@ -762,20 +841,17 @@ fn run(args: &Args) -> Result<bool, String> {
         for (name, secs) in named {
             println!("  {name:<24} {secs:>10.4}");
         }
-        if args.trace {
-            m
-        } else {
-            end_to_end(&plan, &run, &checked, median(&setup_times))
-        }
+        m
     } else {
-        end_to_end(&plan, &run, &checked, median(&setup_times))
+        end_to_end(
+            &plan,
+            &run,
+            &checked,
+            quantile(&times.setup_s, SETUP_QUANTILE),
+        )
     };
 
-    let latencies: Vec<f64> = run
-        .results
-        .iter()
-        .filter_map(|r| r.as_ref().ok().map(|d| d.latency_s))
-        .collect();
+    let latencies = latencies(&run);
     println!("compile latency over {} requests:", latencies.len());
     println!("  p50: {} s", median(&latencies));
     if let Some(pct) = [99.0, 95.0, 90.0, 75.0]
@@ -806,7 +882,7 @@ fn main() -> ExitCode {
             eprintln!("perfbench: {e}");
             eprintln!(
                 "usage: perfbench --workload <solver_bound|search_bound|service_mix> \
-                 --seed <n> --seconds <s> --trace <0|1> [--repro]"
+                 --seed <n> --seconds <s> --trace <0|1>"
             );
             return ExitCode::from(2);
         }
@@ -850,7 +926,6 @@ mod tests {
     #[test]
     fn span_deltas_subtract_earlier_requests() {
         let rec = k2_core::Telemetry::new();
-        use k2_core::Recorder;
         rec.time_us("equiv.check", 100);
         rec.count("core.steps", 4);
         let before = rec.snapshot();

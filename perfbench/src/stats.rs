@@ -215,19 +215,24 @@ pub struct Metric {
 pub struct Metrics {
     /// Metrics in emission order.
     pub list: Vec<Metric>,
-    /// `(ratio, numerator, denominator)` names of every emitted ratio.
-    pub ratios: Vec<(String, String, String)>,
 }
 
 impl Metrics {
-    /// Add one metric; a name already present keeps its first value.
+    /// Add one metric. A name may be added again (two ratios can share a
+    /// base count), but only with the same value and unit.
     pub fn push(&mut self, name: &str, value: f64, unit: &'static str) {
-        if !self.list.iter().any(|m| m.name == name) {
-            self.list.push(Metric {
+        match self.list.iter().find(|m| m.name == name) {
+            Some(m) => assert!(
+                m.value == value && m.unit == unit,
+                "metric {name} added as {value} {unit} after {} {}",
+                m.value,
+                m.unit
+            ),
+            None => self.list.push(Metric {
                 name: name.to_string(),
                 value,
                 unit,
-            });
+            }),
         }
     }
 
@@ -246,8 +251,6 @@ impl Metrics {
             num.1 as f64 / den.1 as f64
         };
         self.push(name, value, "ratio");
-        self.ratios
-            .push((name.to_string(), num.0.to_string(), den.0.to_string()));
     }
 
     /// Look a metric up by name.
@@ -341,6 +344,42 @@ mod tests {
 
     #[test]
     fn every_ratio_is_emitted_with_its_counts() {
+        let ratios = [
+            (
+                "core.accept_ratio",
+                ("core.accepted", 3),
+                ("core.steps", 12),
+            ),
+            (
+                "equiv.refute_yield",
+                ("equiv.refuted", 0),
+                ("equiv.refute_runs", 0),
+            ),
+            // Shares its denominator with the first ratio.
+            (
+                "core.cost.test_pass_ratio",
+                ("equiv.checks", 6),
+                ("core.steps", 12),
+            ),
+        ];
+        let mut m = Metrics::default();
+        for (name, num, den) in ratios {
+            m.ratio(name, num, den);
+        }
+        for (name, num, den) in ratios {
+            assert!(m.get(name).is_some(), "{name} missing");
+            assert_eq!(m.get(num.0), Some(num.1 as f64), "{}", num.0);
+            assert_eq!(m.get(den.0), Some(den.1 as f64), "{}", den.0);
+        }
+        assert_eq!(m.get("core.accept_ratio"), Some(0.25));
+        assert_eq!(m.get("equiv.refute_yield"), Some(0.0));
+        // A count shared by two ratios is emitted once.
+        assert_eq!(m.list.iter().filter(|x| x.name == "core.steps").count(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "metric core.steps added as 13")]
+    fn a_name_cannot_carry_two_values() {
         let mut m = Metrics::default();
         m.ratio(
             "core.accept_ratio",
@@ -348,23 +387,9 @@ mod tests {
             ("core.steps", 12),
         );
         m.ratio(
-            "equiv.refute_yield",
-            ("equiv.refuted", 0),
-            ("equiv.refute_runs", 0),
-        );
-        assert_eq!(m.get("core.accept_ratio"), Some(0.25));
-        assert_eq!(m.get("equiv.refute_yield"), Some(0.0));
-        for (ratio, num, den) in &m.ratios {
-            for name in [ratio, num, den] {
-                assert!(m.get(name).is_some(), "{name} missing");
-            }
-        }
-        // A count shared by two ratios is emitted once.
-        m.ratio(
             "core.cost.test_pass_ratio",
             ("equiv.checks", 6),
-            ("core.steps", 12),
+            ("core.steps", 13),
         );
-        assert_eq!(m.list.iter().filter(|x| x.name == "core.steps").count(), 1);
     }
 }
