@@ -96,11 +96,11 @@ pub struct K2Config {
     /// CNF and learned clauses warm in a per-source solver context. A pure
     /// solver-work knob: results are bit-identical either way.
     pub incremental_sat: bool,
-    /// Kernel-conformant abstract interpretation (tnum + range analysis) as
-    /// a screening pass ahead of the safety walk and a solver-pruning oracle
-    /// for equivalence checking (`K2_STATIC_ANALYSIS`, file key
-    /// `static_analysis`). Verdict-preserving by construction: search
-    /// trajectories are bit-identical either way.
+    /// Abstract-interpretation facts about the source as window
+    /// preconditions for equivalence checking (`K2_STATIC_ANALYSIS`, file key
+    /// `static_analysis`). Safety checking always runs the abstract
+    /// interpreter. A pure solver-work knob: search trajectories are
+    /// bit-identical either way.
     pub static_analysis: bool,
     /// Engine knobs: epochs/sharing/convergence/budget/workers
     /// (`K2_EPOCHS`, `K2_SHARED_CACHE`, `K2_EXCHANGE_CEX`,

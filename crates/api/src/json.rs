@@ -12,7 +12,8 @@
 //!   formatting — so the same value always serializes to the same bytes
 //!   (the `k2c` golden test relies on this);
 //! * integer/float distinction: numbers without a fraction or exponent that
-//!   fit an `i64` stay exact instead of round-tripping through `f64`.
+//!   fit an `i128` (every `i64` and every `u64`) stay exact instead of
+//!   round-tripping through `f64`.
 
 use std::fmt;
 
@@ -23,8 +24,8 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// A number without fraction or exponent that fits an `i64`.
-    Int(i64),
+    /// A number without fraction or exponent that fits an `i128`.
+    Int(i128),
     /// Any other number.
     Float(f64),
     /// A string.
@@ -97,7 +98,7 @@ impl Json {
     /// The value as a `u64`, if it is a non-negative integer.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Int(i) if *i >= 0 => Some(*i as u64),
+            Json::Int(i) => u64::try_from(*i).ok(),
             _ => None,
         }
     }
@@ -407,7 +408,7 @@ impl<'a> Parser<'a> {
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid number"))?;
         if !is_float {
-            if let Ok(i) = text.parse::<i64>() {
+            if let Ok(i) = text.parse::<i128>() {
                 return Ok(Json::Int(i));
             }
         }
@@ -436,6 +437,10 @@ mod tests {
             Json::parse("9007199254740993").unwrap(),
             Json::Int(9007199254740993)
         );
+        let max = Json::parse(&u64::MAX.to_string()).unwrap();
+        assert_eq!(max.as_u64(), Some(u64::MAX));
+        assert_eq!(max.to_string(), u64::MAX.to_string());
+        assert_eq!(Json::parse("-1").unwrap().as_u64(), None);
         assert_eq!(Json::parse("2.0").unwrap(), Json::Float(2.0));
         assert_eq!(Json::Float(2.0).to_string(), "2.0");
         assert_eq!(Json::parse("1e3").unwrap(), Json::Float(1000.0));

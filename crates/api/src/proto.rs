@@ -176,7 +176,7 @@ impl OptimizeRequest {
     /// Serialize to the versioned JSON object.
     pub fn to_json(&self) -> Json {
         let mut fields: Vec<(String, Json)> =
-            vec![("v".into(), Json::Int(PROTOCOL_VERSION as i64))];
+            vec![("v".into(), Json::Int(PROTOCOL_VERSION.into()))];
         if let Some(id) = &self.id {
             fields.push(("id".into(), Json::Str(id.clone())));
         }
@@ -197,7 +197,7 @@ impl OptimizeRequest {
             ("top_k", self.top_k),
         ] {
             if let Some(v) = value {
-                fields.push((key.into(), Json::Int(v as i64)));
+                fields.push((key.into(), Json::Int(v.into())));
             }
         }
         Json::Obj(fields)
@@ -337,17 +337,13 @@ pub struct ReportSummary {
     pub shared_cache_entries: u64,
     /// Counterexamples pulled from the cross-chain pool into test suites.
     pub counterexamples_exchanged: u64,
-    /// Candidates screened by the abstract interpreter before the safety
-    /// path walk (zero with static analysis off).
+    /// Candidates safety-checked by the abstract interpreter.
     pub safety_screens: u64,
-    /// Screened candidates rejected without running the path walk.
+    /// Checked candidates the abstract interpreter rejected as unsafe.
     pub safety_screen_rejects: u64,
     /// Precondition constraints asserted on windowed checks from
     /// abstract-interpretation facts about the source program.
     pub static_window_facts: u64,
-    /// Branch edges the abstract interpreter proved dead and the incremental
-    /// encoder replaced with `false`.
-    pub static_pruned_branches: u64,
 }
 
 /// One optimization response (schema `v: 1`).
@@ -426,7 +422,6 @@ impl OptimizeResponse {
                 safety_screens: 0,
                 safety_screen_rejects: 0,
                 static_window_facts: 0,
-                static_pruned_branches: 0,
             },
             duration_ms: None,
             queue_wait_ms: None,
@@ -481,10 +476,9 @@ impl OptimizeResponse {
                 smt_escalations: report.equiv.smt_escalations,
                 shared_cache_entries: report.shared_cache_entries as u64,
                 counterexamples_exchanged: report.counterexamples_exchanged,
-                safety_screens: report.safety.screens,
-                safety_screen_rejects: report.safety.screen_rejects,
+                safety_screens: report.safety.checked,
+                safety_screen_rejects: report.safety.unsafe_found,
                 static_window_facts: report.equiv.static_window_facts,
-                static_pruned_branches: report.equiv.static_pruned_branches,
             },
             duration_ms: None,
             queue_wait_ms: None,
@@ -494,7 +488,7 @@ impl OptimizeResponse {
     /// Serialize to the versioned JSON object.
     pub fn to_json(&self) -> Json {
         let mut fields: Vec<(String, Json)> =
-            vec![("v".into(), Json::Int(PROTOCOL_VERSION as i64))];
+            vec![("v".into(), Json::Int(PROTOCOL_VERSION.into()))];
         fields.push((
             "id".into(),
             match &self.id {
@@ -510,13 +504,13 @@ impl OptimizeResponse {
         fields.push(("prog_type".into(), Json::Str(self.prog_type.name().into())));
         fields.push(("asm".into(), Json::Str(self.asm.clone())));
         fields.push(("insns_hex".into(), Json::Str(self.insns_hex.clone())));
-        fields.push(("insns_before".into(), Json::Int(self.insns_before as i64)));
-        fields.push(("insns_after".into(), Json::Int(self.insns_after as i64)));
+        fields.push(("insns_before".into(), Json::Int(self.insns_before.into())));
+        fields.push(("insns_after".into(), Json::Int(self.insns_after.into())));
         fields.push(("cost".into(), Json::Float(self.cost)));
         fields.push(("improved".into(), Json::Bool(self.improved)));
         fields.push((
             "rejected_by_kernel_checker".into(),
-            Json::Int(self.rejected_by_kernel_checker as i64),
+            Json::Int(self.rejected_by_kernel_checker.into()),
         ));
         fields.push((
             "top".into(),
@@ -539,7 +533,7 @@ impl OptimizeResponse {
                     .iter()
                     .map(|c| {
                         Json::Obj(vec![
-                            ("param_id".into(), Json::Int(c.param_id as i64)),
+                            ("param_id".into(), Json::Int(c.param_id.into())),
                             (
                                 "cost".into(),
                                 match c.cost {
@@ -547,9 +541,9 @@ impl OptimizeResponse {
                                     None => Json::Null,
                                 },
                             ),
-                            ("iterations".into(), Json::Int(c.iterations as i64)),
-                            ("accepted".into(), Json::Int(c.accepted as i64)),
-                            ("best_found_at".into(), Json::Int(c.best_found_at as i64)),
+                            ("iterations".into(), Json::Int(c.iterations.into())),
+                            ("accepted".into(), Json::Int(c.accepted.into())),
+                            ("best_found_at".into(), Json::Int(c.best_found_at.into())),
                         ])
                     })
                     .collect(),
@@ -559,59 +553,55 @@ impl OptimizeResponse {
         fields.push((
             "report".into(),
             Json::Obj(vec![
-                ("epochs_planned".into(), Json::Int(r.epochs_planned as i64)),
-                ("epochs_run".into(), Json::Int(r.epochs_run as i64)),
+                ("epochs_planned".into(), Json::Int(r.epochs_planned.into())),
+                ("epochs_run".into(), Json::Int(r.epochs_run.into())),
                 ("early_exit".into(), Json::Bool(r.early_exit)),
-                ("solver_queries".into(), Json::Int(r.solver_queries as i64)),
-                ("cache_hits".into(), Json::Int(r.cache_hits as i64)),
+                ("solver_queries".into(), Json::Int(r.solver_queries.into())),
+                ("cache_hits".into(), Json::Int(r.cache_hits.into())),
                 (
                     "shared_cache_hits".into(),
-                    Json::Int(r.shared_cache_hits as i64),
+                    Json::Int(r.shared_cache_hits.into()),
                 ),
-                ("cache_misses".into(), Json::Int(r.cache_misses as i64)),
-                ("window_hits".into(), Json::Int(r.window_hits as i64)),
+                ("cache_misses".into(), Json::Int(r.cache_misses.into())),
+                ("window_hits".into(), Json::Int(r.window_hits.into())),
                 (
                     "window_fallbacks".into(),
-                    Json::Int(r.window_fallbacks as i64),
+                    Json::Int(r.window_fallbacks.into()),
                 ),
                 (
                     "refuted_by_testing".into(),
-                    Json::Int(r.refuted_by_testing as i64),
+                    Json::Int(r.refuted_by_testing.into()),
                 ),
                 (
                     "smt_escalations".into(),
-                    Json::Int(r.smt_escalations as i64),
+                    Json::Int(r.smt_escalations.into()),
                 ),
                 (
                     "shared_cache_entries".into(),
-                    Json::Int(r.shared_cache_entries as i64),
+                    Json::Int(r.shared_cache_entries.into()),
                 ),
                 (
                     "counterexamples_exchanged".into(),
-                    Json::Int(r.counterexamples_exchanged as i64),
+                    Json::Int(r.counterexamples_exchanged.into()),
                 ),
-                ("safety_screens".into(), Json::Int(r.safety_screens as i64)),
+                ("safety_screens".into(), Json::Int(r.safety_screens.into())),
                 (
                     "safety_screen_rejects".into(),
-                    Json::Int(r.safety_screen_rejects as i64),
+                    Json::Int(r.safety_screen_rejects.into()),
                 ),
                 (
                     "static_window_facts".into(),
-                    Json::Int(r.static_window_facts as i64),
-                ),
-                (
-                    "static_pruned_branches".into(),
-                    Json::Int(r.static_pruned_branches as i64),
+                    Json::Int(r.static_window_facts.into()),
                 ),
             ]),
         ));
         // Service timing is opt-in and serialized only when present, so the
         // default response stays bit-identical across runs.
         if let Some(ms) = self.duration_ms {
-            fields.push(("duration_ms".into(), Json::Int(ms as i64)));
+            fields.push(("duration_ms".into(), Json::Int(ms.into())));
         }
         if let Some(ms) = self.queue_wait_ms {
-            fields.push(("queue_wait_ms".into(), Json::Int(ms as i64)));
+            fields.push(("queue_wait_ms".into(), Json::Int(ms.into())));
         }
         Json::Obj(fields)
     }
@@ -776,10 +766,6 @@ impl OptimizeResponse {
                     .get("static_window_facts")
                     .and_then(Json::as_u64)
                     .unwrap_or(0),
-                static_pruned_branches: report_json
-                    .get("static_pruned_branches")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0),
             },
             // Added within v:1 (telemetry): optional service timing, absent
             // in responses from earlier builds and from untimed calls.
@@ -810,6 +796,17 @@ mod tests {
         req.seed = Some(7);
         let line = req.to_json_string();
         assert_eq!(OptimizeRequest::from_json_str(&line).unwrap(), req);
+    }
+
+    #[test]
+    fn request_seeds_above_i64_max_round_trip() {
+        let mut req = OptimizeRequest::from_asm(ASM);
+        for seed in [1u64 << 63, u64::MAX] {
+            req.seed = Some(seed);
+            let line = req.to_json_string();
+            assert!(line.contains(&seed.to_string()), "{line}");
+            assert_eq!(OptimizeRequest::from_json_str(&line).unwrap(), req);
+        }
     }
 
     #[test]
@@ -893,6 +890,32 @@ mod tests {
         let reparsed = OptimizeResponse::from_json_str(&line).unwrap();
         assert_eq!(reparsed.report.refuted_by_testing, 9);
         assert_eq!(reparsed.report.smt_escalations, 5);
+    }
+
+    #[test]
+    fn v1_responses_with_static_pruned_branches_still_parse() {
+        // Earlier builds serialized a `static_pruned_branches` counter in the
+        // v:1 report. The field is gone; lines that carry it keep parsing,
+        // and re-serializing drops it.
+        let legacy = r#"{"v": 1, "id": null, "ok": true, "prog_type": "xdp",
+            "asm": "mov64 r0, 2\nexit\n", "insns_hex": "", "insns_before": 2,
+            "insns_after": 2, "cost": 2.0, "improved": false,
+            "rejected_by_kernel_checker": 0, "top": [], "chains": [],
+            "report": {"epochs_planned": 1, "epochs_run": 1,
+                "early_exit": false, "solver_queries": 3, "cache_hits": 0,
+                "shared_cache_hits": 0, "cache_misses": 3, "window_hits": 0,
+                "window_fallbacks": 0, "refuted_by_testing": 0,
+                "smt_escalations": 3, "shared_cache_entries": 0,
+                "counterexamples_exchanged": 0, "safety_screens": 40,
+                "safety_screen_rejects": 12, "static_window_facts": 5,
+                "static_pruned_branches": 2}}"#;
+        let parsed = OptimizeResponse::from_json_str(legacy).expect("legacy v:1 parses");
+        assert_eq!(parsed.report.safety_screens, 40);
+        assert_eq!(parsed.report.safety_screen_rejects, 12);
+        assert_eq!(parsed.report.static_window_facts, 5);
+        let line = parsed.to_json_string();
+        assert!(!line.contains("static_pruned_branches"), "{line}");
+        assert_eq!(OptimizeResponse::from_json_str(&line).unwrap(), parsed);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! time-to-best. A same-seed re-run of the shared configuration checks
 //! reproducibility, and ablation sweeps isolate each solver-pipeline stage:
 //! windows off (optimization IV), incremental SAT off, static analysis off
-//! (no safety screening, window facts or dead-branch pruning), and a cold
+//! (no window-precondition facts), and a cold
 //! configuration with both pre-SMT refutation and incremental solving off —
 //! the pre-pipeline cost every full-program query used to pay. The run
 //! asserts that windows, incremental SAT and static analysis change no
@@ -193,28 +193,18 @@ fn total_escalations(run: &ConfigRun) -> u64 {
         .sum()
 }
 
-fn total_screens(run: &ConfigRun) -> u64 {
-    run.rows.iter().map(|r| r.report.safety.screens).sum()
+fn total_safety_checks(run: &ConfigRun) -> u64 {
+    run.rows.iter().map(|r| r.report.safety.checked).sum()
 }
 
-fn total_screen_rejects(run: &ConfigRun) -> u64 {
-    run.rows
-        .iter()
-        .map(|r| r.report.safety.screen_rejects)
-        .sum()
+fn total_safety_rejects(run: &ConfigRun) -> u64 {
+    run.rows.iter().map(|r| r.report.safety.unsafe_found).sum()
 }
 
 fn total_window_facts(run: &ConfigRun) -> u64 {
     run.rows
         .iter()
         .map(|r| r.report.equiv.static_window_facts)
-        .sum()
-}
-
-fn total_pruned_branches(run: &ConfigRun) -> u64 {
-    run.rows
-        .iter()
-        .map(|r| r.report.equiv.static_pruned_branches)
         .sum()
 }
 
@@ -385,11 +375,10 @@ fn main() {
         &events,
         &telemetry,
     );
-    // Static-analysis ablation: abstract interpreter off — no safety
-    // screening, no window-precondition facts, no dead-branch pruning. Must
-    // be bit-identical to `shared`: the screen's rejections mirror the path
-    // walk's, window facts only convert fallbacks into hits, and pruning is
-    // a pure encoding simplification on the UNSAT-only incremental path.
+    // Static-analysis ablation: no window-precondition facts from the
+    // abstract interpreter (safety checking runs it either way). Must be
+    // bit-identical to `shared`: window facts only convert fallbacks into
+    // hits.
     let nostatic = run_config(
         EngineConfig::default(),
         Pipeline {
@@ -550,18 +539,18 @@ fn main() {
             bench.name
         );
         assert_eq!(
-            (
-                a.report.safety.screens,
-                a.report.equiv.static_window_facts,
-                a.report.equiv.static_pruned_branches
-            ),
-            (0, 0, 0),
-            "the abstract interpreter ran with the knob off on {}",
+            a.report.equiv.static_window_facts, 0,
+            "window facts were asserted with the knob off on {}",
+            bench.name
+        );
+        assert_eq!(
+            s.report.safety, a.report.safety,
+            "the knob changed safety checking on {}",
             bench.name
         );
         assert!(
-            s.report.safety.screens > 0,
-            "the safety screen never ran with the knob on on {}",
+            s.report.safety.checked > 0,
+            "the safety checker never ran on {}",
             bench.name
         );
         for ((id_s, cost_s, st_s), (id_a, cost_a, st_a)) in s.chains.iter().zip(&a.chains) {
@@ -711,13 +700,11 @@ fn main() {
         total_refute_time_s(&shared),
     );
     println!(
-        "static analysis: {} screens / {} screen rejects, {} window-fact constraints, \
-         {} pruned branch edges; solver queries {} with analysis vs {} without \
-         (bit-identical run)",
-        total_screens(&shared),
-        total_screen_rejects(&shared),
+        "static analysis: {} safety checks / {} unsafe, {} window-fact constraints; \
+         solver queries {} with window facts vs {} without (bit-identical run)",
+        total_safety_checks(&shared),
+        total_safety_rejects(&shared),
         total_window_facts(&shared),
-        total_pruned_branches(&shared),
         total_queries(&shared),
         total_queries(&nostatic),
     );
@@ -786,7 +773,6 @@ fn main() {
          \"refute_time_s\": {:.3},\n  \"refute_verdict_parity\": true,\n  \
          \"total_solver_queries_static_off\": {},\n  \"safety_screens\": {},\n  \
          \"safety_screen_rejects\": {},\n  \"static_window_facts\": {},\n  \
-         \"static_pruned_branches\": {},\n  \
          \"cache_hit_rate_shared_pct\": {:.2},\n  \"cache_hit_rate_isolated_pct\": {:.2},\n  \
          \"cross_chain_shared_layer_hit_rate_pct\": {:.2},\n  \
          \"mean_time_to_best_shared_s\": {:.3},\n  \"mean_time_to_best_isolated_s\": {:.3},\n  \
@@ -811,10 +797,9 @@ fn main() {
         total_escalations(&shared),
         total_refute_time_s(&shared),
         total_queries(&nostatic),
-        total_screens(&shared),
-        total_screen_rejects(&shared),
+        total_safety_checks(&shared),
+        total_safety_rejects(&shared),
         total_window_facts(&shared),
-        total_pruned_branches(&shared),
         cache_hit_rate(&shared),
         cache_hit_rate(&isolated),
         shared_hit_rate(&shared),

@@ -1,43 +1,35 @@
 //! Kernel-conformant abstract interpreter: tnum + value-range analysis over
-//! BPF programs.
+//! BPF programs, and the only safety engine in the workspace.
 //!
-//! This is the analysis behind the `K2_STATIC_ANALYSIS` search constraint:
-//! a path-sensitive forward walk that tracks, per register, the kernel
-//! verifier's value domains — tristate numbers ([`Tnum`], known bits),
-//! signed/unsigned 64-bit ranges ([`ScalarRange`]), and pointer provenance
-//! with offsets (stack / ctx / packet / packet-end / map-value), including
-//! *bounded* variable offsets for packet and map-value pointers.
+//! [`analyze`] is a path-sensitive forward walk that tracks, per register,
+//! the kernel verifier's value domains — tristate numbers ([`Tnum`], known
+//! bits), signed/unsigned 64-bit ranges ([`ScalarRange`]), and pointer
+//! provenance with offsets (stack / ctx / packet / packet-end / map-value),
+//! including *bounded* variable offsets for packet and map-value pointers.
+//! Its [`Verdict`] is the safety verdict of both `bpf_safety::SafetyChecker`
+//! (every search candidate) and `bpf_safety::LinuxVerifier` (the
+//! kernel-checker model of the post-processing pass).
 //!
-//! # Relationship to the legacy path walker (`bpf-safety`)
-//!
-//! The analysis is written so that its **reject conditions exactly mirror**
-//! the provenance checks of the legacy `bpf_safety::verifier` walk: whenever
-//! this pass rejects, the legacy walker rejects too (possibly with a
-//! different error code). The additional tnum/range precision is only ever
-//! used to *accept more*:
-//!
-//! * branch-feasibility decisions skip paths that cannot execute concretely
-//!   (skipping paths can only hide errors, i.e. accept more),
-//! * bounded-offset packet / map-value pointers admit dereferences the
-//!   legacy walker (which collapses `ptr + non-constant` to an
-//!   always-rejecting lost pointer) cannot prove,
-//! * per-program-point constant/range **facts** and **dead branch edges**
-//!   are exported through [`ProgramFacts`] for the equivalence checker.
-//!
-//! This one-sided precision contract is what makes the pass safe to use as
-//! a screening constraint in front of the authoritative checker: a screen
-//! reject never flips a verdict, and an accept is always re-validated.
+//! Like the kernel's checker, the walk decides a conditional branch when the
+//! tracked ranges fix its outcome (the kernel's `is_branch_taken`) and then
+//! explores only the feasible edge, so an error on a path no concrete
+//! execution can take does not reject the program. An accepting run also
+//! exports per-program-point constant/range **facts** through
+//! [`ProgramFacts`], which the equivalence checker assumes as window
+//! preconditions.
 //!
 //! # Termination and budget
 //!
-//! Programs with loops are rejected structurally (as in the legacy walker),
-//! so the path walk terminates. Exponential path growth is bounded two ways:
-//! a `states_equal`-style pruning cap (a new state subsumed by an
+//! Programs with loops are rejected structurally, so the path walk
+//! terminates. Exponential path growth is bounded two ways: a
+//! `states_equal`-style pruning cap (a new state subsumed by an
 //! already-explored, error-free state at the same block start is skipped)
-//! and a configurable instruction budget that yields a clean
-//! [`AbsVerdict::Unknown`] instead of unbounded iteration. Facts are joined
-//! at every visited program point and widened after repeated joins so fact
-//! collection converges quickly even on branch-heavy programs.
+//! and a complexity limit on the instructions examined across all paths. A
+//! run that exhausts the limit is rejected with
+//! [`VerifierError::ComplexityExceeded`], as the kernel rejects a program it
+//! cannot finish verifying. Facts are joined at every visited program point
+//! and widened after repeated joins so fact collection converges quickly
+//! even on branch-heavy programs.
 
 use crate::cfg::Cfg;
 use crate::tnum::Tnum;
@@ -57,14 +49,9 @@ const WIDEN_AFTER: u32 = 16;
 // Errors / verdicts / config
 // ---------------------------------------------------------------------------
 
-/// Why the abstract interpreter rejected a program.
-///
-/// Mirrors `bpf_safety::VerifierError` variant for variant (minus the
-/// complexity limit, which this pass reports as [`AbsVerdict::Unknown`]):
-/// by construction every rejection here corresponds to a rejection of the
-/// legacy path walker.
+/// Why a program was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AbsError {
+pub enum VerifierError {
     /// The program contains a loop (back edge in the CFG).
     Loop,
     /// A jump targets an instruction outside the program.
@@ -79,7 +66,8 @@ pub enum AbsError {
     },
     /// Control can fall off the end of the program without `exit`.
     FallOffEnd,
-    /// A register is read before ever being written.
+    /// A register is read before ever being written (including `r1`–`r5`
+    /// after a helper call).
     UninitRegister {
         /// The register.
         reg: Reg,
@@ -173,111 +161,114 @@ pub enum AbsError {
         /// The limit.
         limit: usize,
     },
+    /// The complexity limit (instructions examined across all paths) is
+    /// exhausted before every path was verified.
+    ComplexityExceeded {
+        /// The limit.
+        limit: usize,
+    },
 }
 
-impl fmt::Display for AbsError {
+impl fmt::Display for VerifierError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            AbsError::Loop => write!(f, "back-edge detected (program may loop)"),
-            AbsError::JumpOutOfRange { at } => write!(f, "jump out of range at {at}"),
-            AbsError::UnreachableCode { at } => write!(f, "unreachable instruction at {at}"),
-            AbsError::FallOffEnd => write!(f, "control may fall off the end of the program"),
-            AbsError::UninitRegister { reg, at } => {
+            VerifierError::Loop => write!(f, "back-edge detected (program may loop)"),
+            VerifierError::JumpOutOfRange { at } => write!(f, "jump out of range at {at}"),
+            VerifierError::UnreachableCode { at } => write!(f, "unreachable instruction at {at}"),
+            VerifierError::FallOffEnd => write!(f, "control may fall off the end of the program"),
+            VerifierError::UninitRegister { reg, at } => {
                 write!(f, "read of uninitialized {reg} at {at}")
             }
-            AbsError::FramePointerWrite { at } => write!(f, "write to r10 at {at}"),
-            AbsError::StackOutOfBounds { off, at } => {
+            VerifierError::FramePointerWrite { at } => write!(f, "write to r10 at {at}"),
+            VerifierError::StackOutOfBounds { off, at } => {
                 write!(f, "stack access at offset {off} out of bounds (insn {at})")
             }
-            AbsError::StackReadBeforeWrite { off, at } => {
+            VerifierError::StackReadBeforeWrite { off, at } => {
                 write!(f, "stack offset {off} read before write (insn {at})")
             }
-            AbsError::Misaligned { off, size, at } => {
+            VerifierError::Misaligned { off, size, at } => {
                 write!(
                     f,
                     "misaligned {size}-byte stack access at offset {off} (insn {at})"
                 )
             }
-            AbsError::PacketOutOfBounds { at } => {
+            VerifierError::PacketOutOfBounds { at } => {
                 write!(f, "packet access not covered by a bounds check (insn {at})")
             }
-            AbsError::CtxOutOfBounds { at } => write!(f, "context access out of bounds at {at}"),
-            AbsError::CtxStoreImm { at } => write!(f, "immediate store into PTR_TO_CTX at {at}"),
-            AbsError::CtxWrite { at } => write!(f, "store into read-only context at {at}"),
-            AbsError::MapValueOutOfBounds { at } => {
+            VerifierError::CtxOutOfBounds { at } => {
+                write!(f, "context access out of bounds at {at}")
+            }
+            VerifierError::CtxStoreImm { at } => {
+                write!(f, "immediate store into PTR_TO_CTX at {at}")
+            }
+            VerifierError::CtxWrite { at } => write!(f, "store into read-only context at {at}"),
+            VerifierError::MapValueOutOfBounds { at } => {
                 write!(f, "map value access out of bounds at {at}")
             }
-            AbsError::PossibleNullDeref { at } => {
+            VerifierError::PossibleNullDeref { at } => {
                 write!(f, "possible NULL dereference of map value at {at}")
             }
-            AbsError::PointerArithmetic { at } => {
+            VerifierError::PointerArithmetic { at } => {
                 write!(f, "disallowed arithmetic on a pointer at {at}")
             }
-            AbsError::UnknownPointerDeref { at } => {
+            VerifierError::UnknownPointerDeref { at } => {
                 write!(f, "dereference of a non-pointer value at {at}")
             }
-            AbsError::BadHelperArgument { at, what } => {
+            VerifierError::BadHelperArgument { at, what } => {
                 write!(f, "bad helper argument at {at}: {what}")
             }
-            AbsError::UnknownHelper { at } => write!(f, "unknown helper at {at}"),
-            AbsError::TooManyInstructions { len, limit } => {
+            VerifierError::UnknownHelper { at } => write!(f, "unknown helper at {at}"),
+            VerifierError::TooManyInstructions { len, limit } => {
                 write!(f, "program has {len} instructions, limit is {limit}")
+            }
+            VerifierError::ComplexityExceeded { limit } => {
+                write!(
+                    f,
+                    "verifier complexity limit of {limit} examined instructions exceeded"
+                )
             }
         }
     }
 }
 
-impl std::error::Error for AbsError {}
+impl std::error::Error for VerifierError {}
 
-/// Outcome of an abstract-interpretation run.
+/// Verdict of a verification run.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AbsVerdict {
-    /// Every path was explored without error.
+pub enum Verdict {
+    /// Every feasible path was explored without error.
     Accept,
-    /// A path reaches a definite safety violation (first error found).
-    Reject(AbsError),
-    /// The state budget was exhausted before all paths were covered; the
-    /// program is neither proven safe nor unsafe by this pass.
-    Unknown,
+    /// The program is rejected with the first error found.
+    Reject(VerifierError),
 }
 
-impl AbsVerdict {
+impl Verdict {
     /// Whether the program was accepted.
     pub fn is_accept(&self) -> bool {
-        matches!(self, AbsVerdict::Accept)
+        matches!(self, Verdict::Accept)
     }
 }
 
-/// Configuration of the abstract interpreter. The policy knobs mirror
-/// `bpf_safety::VerifierConfig` so the two walks agree on what to reject;
-/// `state_budget` replaces the legacy complexity limit with a clean
-/// [`AbsVerdict::Unknown`] outcome (satellite: bounded iteration).
+/// Configuration of the abstract interpreter: its limits and whether stack
+/// accesses must be size-aligned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AbsintConfig {
     /// Maximum program length in wire slots.
     pub max_insns: usize,
     /// Budget of instructions examined across all explored paths; when
-    /// exhausted the verdict is [`AbsVerdict::Unknown`] instead of an error.
-    pub state_budget: usize,
+    /// exhausted the program is rejected with
+    /// [`VerifierError::ComplexityExceeded`].
+    pub complexity_limit: usize,
     /// Enforce size-aligned stack accesses.
     pub enforce_stack_alignment: bool,
-    /// Reject immediate stores through context pointers.
-    pub forbid_ctx_store_imm: bool,
-    /// Reject arithmetic (other than add/sub of scalars) on pointers.
-    pub forbid_pointer_alu: bool,
-    /// Reject programs containing unreachable instructions.
-    pub forbid_unreachable: bool,
 }
 
 impl Default for AbsintConfig {
     fn default() -> Self {
         AbsintConfig {
             max_insns: 4096,
-            state_budget: 16_384,
+            complexity_limit: 16_384,
             enforce_stack_alignment: true,
-            forbid_ctx_store_imm: true,
-            forbid_pointer_alu: true,
-            forbid_unreachable: true,
         }
     }
 }
@@ -470,9 +461,8 @@ impl fmt::Display for ScalarRange {
 // ---------------------------------------------------------------------------
 
 /// Abstract value of a register: scalar with ranges, or a pointer with
-/// tracked provenance. Exact-offset variants mirror the legacy walker;
-/// the `*Var` variants carry a bounded variable offset (the kernel's
-/// `var_off` refinement) and are where this pass accepts strictly more.
+/// tracked provenance. The `*Var` variants carry a bounded variable offset
+/// (the kernel's `var_off` refinement).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AbsReg {
     /// Never written on this path.
@@ -484,8 +474,8 @@ pub enum AbsReg {
     /// Context pointer at an exact offset.
     PtrCtx(i64),
     /// Packet pointer at an exact offset from the packet start, or with the
-    /// offset lost (`None`, rejects every dereference — the legacy walker's
-    /// collapse target for `ptr + unknown`).
+    /// offset lost (`None`, rejects every dereference — the collapse target
+    /// for `ptr + unbounded scalar`).
     PtrPacket(Option<i64>),
     /// Packet pointer at a *bounded* variable offset `[min, max]`.
     PtrPacketVar {
@@ -606,27 +596,21 @@ enum FactCell {
     Mixed,
 }
 
-/// Range/constant facts and branch-edge feasibility derived by an
-/// [`AbsVerdict::Accept`] run. Facts over-approximate every concrete
-/// execution, so they are sound to assume as preconditions or to prune
-/// provably dead edges in the solver encoding. A non-accepting run exports
-/// empty facts (everything unknown, every edge feasible).
+/// Range/constant facts derived by a [`Verdict::Accept`] run. Facts
+/// over-approximate every concrete execution, so they are sound to assume
+/// as preconditions. A rejecting run exports empty facts (everything
+/// unknown).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProgramFacts {
     /// Per-pc, per-register scalar fact *before* executing the instruction.
     cells: Vec<[FactCell; 11]>,
-    /// Per-pc `(taken_feasible, fall_feasible)` for visited conditional
-    /// branches; `None` for non-branches or unvisited branches.
-    branch_feas: Vec<Option<(bool, bool)>>,
 }
 
 impl ProgramFacts {
-    /// Empty facts for a program of `len` instructions: no scalar facts,
-    /// every edge feasible.
+    /// Empty facts for a program of `len` instructions: no scalar facts.
     pub fn empty(len: usize) -> ProgramFacts {
         ProgramFacts {
             cells: vec![[FactCell::NotSeen; 11]; len],
-            branch_feas: vec![None; len],
         }
     }
 
@@ -637,30 +621,6 @@ impl ProgramFacts {
             FactCell::Fact(s, _) => Some(s),
             _ => None,
         }
-    }
-
-    /// Whether the given edge of the conditional branch at `pc` is feasible
-    /// (defaults to `true` for anything not proven dead).
-    pub fn edge_feasible(&self, pc: usize, taken: bool) -> bool {
-        match self.branch_feas.get(pc).copied().flatten() {
-            Some((t, f)) => {
-                if taken {
-                    t
-                } else {
-                    f
-                }
-            }
-            None => true,
-        }
-    }
-
-    /// Number of branch edges proven infeasible.
-    pub fn dead_edges(&self) -> usize {
-        self.branch_feas
-            .iter()
-            .flatten()
-            .map(|(t, f)| usize::from(!t) + usize::from(!f))
-            .sum()
     }
 
     fn observe(&mut self, pc: usize, regs: &[AbsReg; 11]) {
@@ -682,12 +642,6 @@ impl ProgramFacts {
             };
         }
     }
-
-    fn observe_edge(&mut self, pc: usize, taken_ok: bool, fall_ok: bool) {
-        let entry = self.branch_feas[pc].get_or_insert((false, false));
-        entry.0 |= taken_ok;
-        entry.1 |= fall_ok;
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -707,17 +661,13 @@ pub struct AbsintStats {
     pub paths: usize,
     /// Conditional-branch visits decided one way by range analysis.
     pub branches_decided: usize,
-    /// Branch edges proven infeasible (only meaningful on accept).
-    pub dead_edges: usize,
-    /// Whether the state budget ran out ([`AbsVerdict::Unknown`]).
-    pub budget_exhausted: bool,
 }
 
 /// Result of [`analyze`]: verdict, exported facts and run statistics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AbsintResult {
-    /// Accept / reject / unknown.
-    pub verdict: AbsVerdict,
+    /// Accept / reject.
+    pub verdict: Verdict,
     /// Derived facts; empty unless the verdict is accept.
     pub facts: ProgramFacts,
     /// Run statistics.
@@ -773,20 +723,13 @@ pub fn analyze(prog: &Program, config: &AbsintConfig) -> AbsintResult {
     let mut stats = AbsintStats::default();
     let mut facts = ProgramFacts::empty(prog.insns.len());
     let verdict = match walk(prog, config, &mut stats, &mut facts) {
-        Ok(true) => AbsVerdict::Accept,
-        Ok(false) => {
-            stats.budget_exhausted = true;
-            AbsVerdict::Unknown
+        Ok(()) => Verdict::Accept,
+        Err(e) => {
+            // Facts are only sound when every path was walked to completion.
+            facts = ProgramFacts::empty(prog.insns.len());
+            Verdict::Reject(e)
         }
-        Err(e) => AbsVerdict::Reject(e),
     };
-    if verdict.is_accept() {
-        stats.dead_edges = facts.dead_edges();
-    } else {
-        // Facts are only sound when every path was walked to completion.
-        facts = ProgramFacts::empty(prog.insns.len());
-        stats.dead_edges = 0;
-    }
     AbsintResult {
         verdict,
         facts,
@@ -794,18 +737,17 @@ pub fn analyze(prog: &Program, config: &AbsintConfig) -> AbsintResult {
     }
 }
 
-/// `Ok(true)` = accept, `Ok(false)` = budget exhausted, `Err` = reject.
 fn walk(
     prog: &Program,
     config: &AbsintConfig,
     stats: &mut AbsintStats,
     facts: &mut ProgramFacts,
-) -> Result<bool, AbsError> {
+) -> Result<(), VerifierError> {
     if prog.insns.is_empty() {
-        return Err(AbsError::FallOffEnd);
+        return Err(VerifierError::FallOffEnd);
     }
     if prog.slot_len() > config.max_insns {
-        return Err(AbsError::TooManyInstructions {
+        return Err(VerifierError::TooManyInstructions {
             len: prog.slot_len(),
             limit: config.max_insns,
         });
@@ -813,19 +755,17 @@ fn walk(
     let cfg = match Cfg::build(&prog.insns) {
         Ok(c) => c,
         Err(crate::cfg::CfgError::JumpOutOfRange { at, .. }) => {
-            return Err(AbsError::JumpOutOfRange { at })
+            return Err(VerifierError::JumpOutOfRange { at })
         }
-        Err(_) => return Err(AbsError::FallOffEnd),
+        Err(_) => return Err(VerifierError::FallOffEnd),
     };
     if cfg.has_loop() {
-        return Err(AbsError::Loop);
+        return Err(VerifierError::Loop);
     }
-    if config.forbid_unreachable {
-        let reach = cfg.reachable();
-        for (idx, insn) in prog.insns.iter().enumerate() {
-            if !reach[cfg.block_of_insn[idx]] && !matches!(insn, Insn::Nop) {
-                return Err(AbsError::UnreachableCode { at: idx });
-            }
+    let reach = cfg.reachable();
+    for (idx, insn) in prog.insns.iter().enumerate() {
+        if !reach[cfg.block_of_insn[idx]] && !matches!(insn, Insn::Nop) {
+            return Err(VerifierError::UnreachableCode { at: idx });
         }
     }
     let mut is_block_start = vec![false; prog.insns.len()];
@@ -842,13 +782,15 @@ fn walk(
     while let Some(mut state) = work.pop_front() {
         stats.states_explored += 1;
         loop {
-            if stats.insns_examined >= config.state_budget {
-                return Ok(false);
+            if stats.insns_examined >= config.complexity_limit {
+                return Err(VerifierError::ComplexityExceeded {
+                    limit: config.complexity_limit,
+                });
             }
             let at = state.pc;
             let insn = match prog.insns.get(at) {
                 Some(i) => *i,
-                None => return Err(AbsError::FallOffEnd),
+                None => return Err(VerifierError::FallOffEnd),
             };
             // Record facts before the prune check so pruned states still
             // contribute their values at this point.
@@ -864,13 +806,26 @@ fn walk(
             }
             stats.insns_examined += 1;
 
-            for r in insn.uses() {
+            // The reference interpreter reads an ALU source register even
+            // for `neg`, which ignores it (`Insn::uses` leaves it out), so
+            // an uninitialized one traps there. The kernel rejects any
+            // register-sourced `neg` ("BPF_NEG uses reserved fields").
+            let alu_src = match insn {
+                Insn::Alu64 {
+                    src: Src::Reg(r), ..
+                }
+                | Insn::Alu32 {
+                    src: Src::Reg(r), ..
+                } => Some(r),
+                _ => None,
+            };
+            for r in insn.uses().into_iter().chain(alu_src) {
                 if state.regs[r.index()] == AbsReg::Uninit {
-                    return Err(AbsError::UninitRegister { reg: r, at });
+                    return Err(VerifierError::UninitRegister { reg: r, at });
                 }
             }
             if insn.def() == Some(Reg::R10) {
-                return Err(AbsError::FramePointerWrite { at });
+                return Err(VerifierError::FramePointerWrite { at });
             }
 
             match insn {
@@ -888,19 +843,16 @@ fn walk(
                     match eval_branch(&state, op, dst, src, is32) {
                         Some(true) => {
                             stats.branches_decided += 1;
-                            facts.observe_edge(at, true, false);
                             state.pc = taken_pc;
                         }
                         Some(false) => {
                             stats.branches_decided += 1;
-                            facts.observe_edge(at, false, true);
                             state.pc = fall_pc;
                         }
                         None => {
                             let (taken, fall) = branch_refine(&state, op, dst, src, is32);
                             match (taken, fall) {
                                 (Some(mut t), Some(f)) => {
-                                    facts.observe_edge(at, true, true);
                                     t.pc = taken_pc;
                                     work.push_back(t);
                                     state = f;
@@ -908,21 +860,17 @@ fn walk(
                                 }
                                 (Some(mut t), None) => {
                                     stats.branches_decided += 1;
-                                    facts.observe_edge(at, true, false);
                                     t.pc = taken_pc;
                                     state = t;
                                 }
                                 (None, Some(f)) => {
                                     stats.branches_decided += 1;
-                                    facts.observe_edge(at, false, true);
                                     state = f;
                                     state.pc = fall_pc;
                                 }
                                 (None, None) => {
                                     // Both refinements contradict: the state
-                                    // itself is empty. Treat both edges as
-                                    // feasible (defensive) and end the path.
-                                    facts.observe_edge(at, true, true);
+                                    // itself is empty, so the path ends.
                                     break;
                                 }
                             }
@@ -936,7 +884,7 @@ fn walk(
             }
         }
     }
-    Ok(true)
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1014,9 +962,7 @@ fn decide(always: bool, never: bool) -> Option<bool> {
 
 /// Refine the register state along both edges of an undecided branch.
 /// Returns `None` for an edge whose refinement contradicts (proven
-/// infeasible). The pointer refinements (null checks, packet bounds)
-/// mirror the legacy walker exactly; the scalar range refinement on top is
-/// a pure precision gain.
+/// infeasible): null checks, packet bounds checks and scalar ranges.
 fn branch_refine(
     state: &AbsState,
     op: JmpOp,
@@ -1028,8 +974,8 @@ fn branch_refine(
     let mut fall = state.clone();
     let d = state.regs[dst.index()];
 
-    // NULL-check refinement for map-lookup results (legacy mirror; applies
-    // to 32-bit compares too, as in the legacy walker).
+    // NULL-check refinement for map-lookup results (applies to 32-bit
+    // compares too).
     if let AbsReg::PtrMapValueOrNull { map, off } = d {
         if let Src::Imm(0) = src {
             match op {
@@ -1046,9 +992,9 @@ fn branch_refine(
         }
     }
 
-    // Packet bounds-check refinement (legacy mirror, extended to bounded
-    // variable offsets: a check on `pkt + [min,max]` still proves `min`
-    // bytes from the packet start).
+    // Packet bounds-check refinement, extended to bounded variable offsets:
+    // a check on `pkt + [min,max]` still proves `min` bytes from the packet
+    // start.
     let proven_bytes = |r: AbsReg| -> Option<i64> {
         match r {
             AbsReg::PtrPacket(Some(k)) => Some(k),
@@ -1228,25 +1174,25 @@ fn step(
     prog: &Program,
     ctx_size: i64,
     config: &AbsintConfig,
-) -> Result<(), AbsError> {
+) -> Result<(), VerifierError> {
     match *insn {
         Insn::Alu64 { op, dst, src } => {
             let d = state.regs[dst.index()];
             let s = operand(state, src);
-            state.regs[dst.index()] = alu64_abs(op, d, s, at, config)?;
+            state.regs[dst.index()] = alu64_abs(op, d, s, at)?;
         }
         Insn::Alu32 { op, dst, src } => {
             let d = state.regs[dst.index()];
             let s = operand(state, src);
-            if config.forbid_pointer_alu && (d.is_pointer() || s.is_pointer()) {
-                return Err(AbsError::PointerArithmetic { at });
+            if d.is_pointer() || s.is_pointer() {
+                return Err(VerifierError::PointerArithmetic { at });
             }
             state.regs[dst.index()] = AbsReg::Scalar(alu32_scalar(op, &d, &s));
         }
         Insn::Endian { order, width, dst } => {
             let d = state.regs[dst.index()];
-            if config.forbid_pointer_alu && d.is_pointer() {
-                return Err(AbsError::PointerArithmetic { at });
+            if d.is_pointer() {
+                return Err(VerifierError::PointerArithmetic { at });
             }
             let result = match d.scalar().and_then(ScalarRange::as_const) {
                 Some(c) => ScalarRange::constant(order.apply(c, width)),
@@ -1295,9 +1241,8 @@ fn step(
         Insn::StoreImm {
             size, base, off, ..
         } => {
-            if config.forbid_ctx_store_imm && matches!(state.regs[base.index()], AbsReg::PtrCtx(_))
-            {
-                return Err(AbsError::CtxStoreImm { at });
+            if matches!(state.regs[base.index()], AbsReg::PtrCtx(_)) {
+                return Err(VerifierError::CtxStoreImm { at });
             }
             check_mem_access(
                 state,
@@ -1331,7 +1276,7 @@ fn step(
         }
         Insn::LoadMapFd { dst, map_id } => {
             if prog.map(MapId(map_id)).is_none() {
-                return Err(AbsError::BadHelperArgument {
+                return Err(VerifierError::BadHelperArgument {
                     at,
                     what: "undeclared map id",
                 });
@@ -1346,15 +1291,14 @@ fn step(
     Ok(())
 }
 
-/// Pointer arithmetic: structure mirrors the legacy `alu64_abs` — same
-/// error conditions — but a *bounded* non-constant delta produces a
-/// bounded-offset pointer where the legacy walker loses the offset (and
-/// rejects every later dereference). A delta with unbounded signed range
-/// degrades to the same lost pointer, so rejections stay a subset.
-fn ptr_add(p: AbsReg, delta: AbsReg, sign: i64, at: usize) -> Result<AbsReg, AbsError> {
+/// Pointer arithmetic: a constant delta moves the exact offset; a
+/// non-constant delta gives packet and map-value pointers a *bounded*
+/// variable offset. Where no bound exists (unbounded delta, stack or ctx
+/// base) the result is a lost pointer that every dereference rejects.
+fn ptr_add(p: AbsReg, delta: AbsReg, sign: i64, at: usize) -> Result<AbsReg, VerifierError> {
     let sc = match delta {
         AbsReg::Scalar(sc) => sc,
-        _ => return Err(AbsError::PointerArithmetic { at }),
+        _ => return Err(VerifierError::PointerArithmetic { at }),
     };
     // Signed displacement bounds of the delta (negated for subtraction).
     let (dmin, dmax) = if sign >= 0 {
@@ -1414,25 +1358,21 @@ fn ptr_add(p: AbsReg, delta: AbsReg, sign: i64, at: usize) -> Result<AbsReg, Abs
                 _ => lost,
             }
         }
-        (AbsReg::PtrMapValueOrNull { .. }, _) => return Err(AbsError::PossibleNullDeref { at }),
+        (AbsReg::PtrMapValueOrNull { .. }, _) => {
+            return Err(VerifierError::PossibleNullDeref { at })
+        }
         (AbsReg::PtrPacketEnd, _) => AbsReg::PtrPacketEnd,
         (AbsReg::PtrStack(_) | AbsReg::PtrCtx(_), None) => lost,
         _ => AbsReg::Scalar(ScalarRange::unknown()),
     })
 }
 
-fn alu64_abs(
-    op: AluOp,
-    d: AbsReg,
-    s: AbsReg,
-    at: usize,
-    config: &AbsintConfig,
-) -> Result<AbsReg, AbsError> {
+fn alu64_abs(op: AluOp, d: AbsReg, s: AbsReg, at: usize) -> Result<AbsReg, VerifierError> {
     match op {
         AluOp::Mov => Ok(s),
         AluOp::Add => {
             if d.is_pointer() && s.is_pointer() {
-                return Err(AbsError::PointerArithmetic { at });
+                return Err(VerifierError::PointerArithmetic { at });
             }
             if d.is_pointer() {
                 ptr_add(d, s, 1, at)
@@ -1450,14 +1390,14 @@ fn alu64_abs(
             if d.is_pointer() {
                 ptr_add(d, s, -1, at)
             } else if s.is_pointer() {
-                Err(AbsError::PointerArithmetic { at })
+                Err(VerifierError::PointerArithmetic { at })
             } else {
                 Ok(AbsReg::Scalar(scalar_transfer(op, &d, &s)))
             }
         }
         _ => {
-            if config.forbid_pointer_alu && (d.is_pointer() || s.is_pointer()) {
-                return Err(AbsError::PointerArithmetic { at });
+            if d.is_pointer() || s.is_pointer() {
+                return Err(VerifierError::PointerArithmetic { at });
             }
             Ok(AbsReg::Scalar(scalar_transfer(op, &d, &s)))
         }
@@ -1469,8 +1409,7 @@ fn as_scalar(r: &AbsReg) -> ScalarRange {
 }
 
 /// 64-bit scalar transfer. Both-constant operands fold exactly through the
-/// shared `eval64` semantics, so every constant the legacy walker tracks is
-/// tracked here too (the reject-implication relies on this).
+/// shared `eval64` semantics.
 #[allow(clippy::too_many_lines)]
 fn scalar_transfer(op: AluOp, dr: &AbsReg, sr: &AbsReg) -> ScalarRange {
     let a = as_scalar(dr);
@@ -1636,7 +1575,7 @@ fn alu32_scalar(op: AluOp, dr: &AbsReg, sr: &AbsReg) -> ScalarRange {
 }
 
 // ---------------------------------------------------------------------------
-// Memory and helper checks (legacy mirrors + bounded-offset acceptance)
+// Memory and helper checks
 // ---------------------------------------------------------------------------
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1657,17 +1596,17 @@ fn check_mem_access(
     ctx_size: i64,
     config: &AbsintConfig,
     access: Access,
-) -> Result<AbsReg, AbsError> {
+) -> Result<AbsReg, VerifierError> {
     let b = state.regs[base.index()];
     let nbytes = size.bytes() as i64;
     match b {
         AbsReg::PtrStack(reg_off) => {
             let start = reg_off + off as i64;
             if start < -512 || start + nbytes > 0 {
-                return Err(AbsError::StackOutOfBounds { off: start, at });
+                return Err(VerifierError::StackOutOfBounds { off: start, at });
             }
             if config.enforce_stack_alignment && start.rem_euclid(nbytes) != 0 {
-                return Err(AbsError::Misaligned {
+                return Err(VerifierError::Misaligned {
                     off: start,
                     size: size.bytes(),
                     at,
@@ -1678,7 +1617,7 @@ fn check_mem_access(
                 Access::Load | Access::Atomic => {
                     for i in lo..lo + size.bytes() {
                         if !state.stack_init[i] {
-                            return Err(AbsError::StackReadBeforeWrite { off: start, at });
+                            return Err(VerifierError::StackReadBeforeWrite { off: start, at });
                         }
                     }
                 }
@@ -1693,11 +1632,11 @@ fn check_mem_access(
         }
         AbsReg::PtrCtx(reg_off) => {
             if matches!(access, Access::Store | Access::Atomic) {
-                return Err(AbsError::CtxWrite { at });
+                return Err(VerifierError::CtxWrite { at });
             }
             let start = reg_off + off as i64;
             if start < 0 || start + nbytes > ctx_size {
-                return Err(AbsError::CtxOutOfBounds { at });
+                return Err(VerifierError::CtxOutOfBounds { at });
             }
             if size == MemSize::Dword
                 && matches!(
@@ -1716,7 +1655,7 @@ fn check_mem_access(
         AbsReg::PtrPacket(Some(reg_off)) => {
             let start = reg_off + off as i64;
             if start < 0 || start + nbytes > state.verified_pkt {
-                return Err(AbsError::PacketOutOfBounds { at });
+                return Err(VerifierError::PacketOutOfBounds { at });
             }
             Ok(AbsReg::Scalar(ScalarRange::from_load(size)))
         }
@@ -1728,37 +1667,43 @@ fn check_mem_access(
             let lo = min.saturating_add(off as i64);
             let hi = max.saturating_add(off as i64);
             if lo < 0 || hi.saturating_add(nbytes) > state.verified_pkt {
-                return Err(AbsError::PacketOutOfBounds { at });
+                return Err(VerifierError::PacketOutOfBounds { at });
             }
             Ok(AbsReg::Scalar(ScalarRange::from_load(size)))
         }
-        AbsReg::PtrPacket(None) | AbsReg::PtrPacketEnd => Err(AbsError::PacketOutOfBounds { at }),
+        AbsReg::PtrPacket(None) | AbsReg::PtrPacketEnd => {
+            Err(VerifierError::PacketOutOfBounds { at })
+        }
         AbsReg::PtrMapValue { map, off: reg_off } => {
-            let def = prog.map(MapId(map)).ok_or(AbsError::BadHelperArgument {
-                at,
-                what: "undeclared map",
-            })?;
+            let def = prog
+                .map(MapId(map))
+                .ok_or(VerifierError::BadHelperArgument {
+                    at,
+                    what: "undeclared map",
+                })?;
             let start = reg_off + off as i64;
             if start < 0 || start + nbytes > def.value_size as i64 {
-                return Err(AbsError::MapValueOutOfBounds { at });
+                return Err(VerifierError::MapValueOutOfBounds { at });
             }
             Ok(AbsReg::Scalar(ScalarRange::from_load(size)))
         }
         AbsReg::PtrMapValueVar { map, min, max } => {
-            let def = prog.map(MapId(map)).ok_or(AbsError::BadHelperArgument {
-                at,
-                what: "undeclared map",
-            })?;
+            let def = prog
+                .map(MapId(map))
+                .ok_or(VerifierError::BadHelperArgument {
+                    at,
+                    what: "undeclared map",
+                })?;
             let lo = min.saturating_add(off as i64);
             let hi = max.saturating_add(off as i64);
             if lo < 0 || hi.saturating_add(nbytes) > def.value_size as i64 {
-                return Err(AbsError::MapValueOutOfBounds { at });
+                return Err(VerifierError::MapValueOutOfBounds { at });
             }
             Ok(AbsReg::Scalar(ScalarRange::from_load(size)))
         }
-        AbsReg::PtrMapValueOrNull { .. } => Err(AbsError::PossibleNullDeref { at }),
-        AbsReg::Uninit => Err(AbsError::UninitRegister { reg: base, at }),
-        AbsReg::Scalar(_) | AbsReg::MapHandle(_) => Err(AbsError::UnknownPointerDeref { at }),
+        AbsReg::PtrMapValueOrNull { .. } => Err(VerifierError::PossibleNullDeref { at }),
+        AbsReg::Uninit => Err(VerifierError::UninitRegister { reg: base, at }),
+        AbsReg::Scalar(_) | AbsReg::MapHandle(_) => Err(VerifierError::UnknownPointerDeref { at }),
     }
 }
 
@@ -1767,22 +1712,24 @@ fn check_helper_call(
     helper: HelperId,
     at: usize,
     prog: &Program,
-) -> Result<(), AbsError> {
+) -> Result<(), VerifierError> {
     let ret = match helper {
         HelperId::MapLookup | HelperId::MapUpdate | HelperId::MapDelete => {
             let map = match state.regs[Reg::R1.index()] {
                 AbsReg::MapHandle(m) => m,
                 _ => {
-                    return Err(AbsError::BadHelperArgument {
+                    return Err(VerifierError::BadHelperArgument {
                         at,
                         what: "r1 is not a map",
                     })
                 }
             };
-            let def = prog.map(MapId(map)).ok_or(AbsError::BadHelperArgument {
-                at,
-                what: "undeclared map",
-            })?;
+            let def = prog
+                .map(MapId(map))
+                .ok_or(VerifierError::BadHelperArgument {
+                    at,
+                    what: "undeclared map",
+                })?;
             check_buffer_arg(state, Reg::R2, def.key_size as i64, at)?;
             if helper == HelperId::MapUpdate {
                 check_buffer_arg(state, Reg::R3, def.value_size as i64, at)?;
@@ -1801,7 +1748,7 @@ fn check_helper_call(
         | HelperId::CsumDiff => AbsReg::Scalar(ScalarRange::unknown()),
         HelperId::XdpAdjustHead => {
             if !matches!(state.regs[Reg::R1.index()], AbsReg::PtrCtx(_)) {
-                return Err(AbsError::BadHelperArgument {
+                return Err(VerifierError::BadHelperArgument {
                     at,
                     what: "r1 is not the context",
                 });
@@ -1820,14 +1767,14 @@ fn check_helper_call(
         }
         HelperId::RedirectMap => {
             if !matches!(state.regs[Reg::R1.index()], AbsReg::MapHandle(_)) {
-                return Err(AbsError::BadHelperArgument {
+                return Err(VerifierError::BadHelperArgument {
                     at,
                     what: "r1 is not a map",
                 });
             }
             AbsReg::Scalar(ScalarRange::unknown())
         }
-        HelperId::Unknown(_) => return Err(AbsError::UnknownHelper { at }),
+        HelperId::Unknown(_) => return Err(VerifierError::UnknownHelper { at }),
     };
     state.regs[Reg::R0.index()] = ret;
     for r in [Reg::R1, Reg::R2, Reg::R3, Reg::R4, Reg::R5] {
@@ -1837,35 +1784,35 @@ fn check_helper_call(
 }
 
 /// A helper buffer argument must point to `len` readable, initialized
-/// bytes. Mirrors the legacy check, extended to bounded-offset pointers.
-fn check_buffer_arg(state: &AbsState, reg: Reg, len: i64, at: usize) -> Result<(), AbsError> {
+/// bytes; bounded-offset pointers must be in range at both extremes.
+fn check_buffer_arg(state: &AbsState, reg: Reg, len: i64, at: usize) -> Result<(), VerifierError> {
     match state.regs[reg.index()] {
         AbsReg::PtrStack(off) => {
             if off < -512 || off + len > 0 {
-                return Err(AbsError::StackOutOfBounds { off, at });
+                return Err(VerifierError::StackOutOfBounds { off, at });
             }
             for i in 0..len {
                 if !state.stack_init[(512 + off + i) as usize] {
-                    return Err(AbsError::StackReadBeforeWrite { off: off + i, at });
+                    return Err(VerifierError::StackReadBeforeWrite { off: off + i, at });
                 }
             }
             Ok(())
         }
         AbsReg::PtrPacket(Some(off)) => {
             if off < 0 || off + len > state.verified_pkt {
-                return Err(AbsError::PacketOutOfBounds { at });
+                return Err(VerifierError::PacketOutOfBounds { at });
             }
             Ok(())
         }
         AbsReg::PtrPacketVar { min, max } => {
             if min < 0 || max.saturating_add(len) > state.verified_pkt {
-                return Err(AbsError::PacketOutOfBounds { at });
+                return Err(VerifierError::PacketOutOfBounds { at });
             }
             Ok(())
         }
         AbsReg::PtrMapValue { .. } | AbsReg::PtrMapValueVar { .. } | AbsReg::PtrCtx(_) => Ok(()),
-        AbsReg::Uninit => Err(AbsError::UninitRegister { reg, at }),
-        _ => Err(AbsError::BadHelperArgument {
+        AbsReg::Uninit => Err(VerifierError::UninitRegister { reg, at }),
+        _ => Err(VerifierError::BadHelperArgument {
             at,
             what: "buffer argument is not a pointer",
         }),
@@ -1893,14 +1840,14 @@ mod tests {
         run(prog).verdict.is_accept()
     }
 
-    fn reject_with(prog: &Program) -> AbsError {
+    fn reject_with(prog: &Program) -> VerifierError {
         match run(prog).verdict {
-            AbsVerdict::Reject(e) => e,
+            Verdict::Reject(e) => e,
             v => panic!("expected rejection, got {v:?}"),
         }
     }
 
-    // ---- legacy-mirror behavior -------------------------------------------
+    // ---- kernel-checker restrictions ---------------------------------------
 
     #[test]
     fn trivial_program_accepted() {
@@ -1911,12 +1858,36 @@ mod tests {
     fn uninitialized_register_rejected() {
         assert!(matches!(
             reject_with(&xdp("mov64 r0, r5\nexit")),
-            AbsError::UninitRegister { reg: Reg::R5, .. }
+            VerifierError::UninitRegister { reg: Reg::R5, .. }
         ));
         assert!(matches!(
             reject_with(&xdp("exit")),
-            AbsError::UninitRegister { reg: Reg::R0, .. }
+            VerifierError::UninitRegister { reg: Reg::R0, .. }
         ));
+    }
+
+    #[test]
+    fn neg_with_uninitialized_source_register_rejected() {
+        // `neg` ignores its source, but the interpreter still reads it.
+        let prog = Program::new(
+            ProgramType::Xdp,
+            vec![
+                Insn::mov64_imm(Reg::R0, 1),
+                Insn::Alu64 {
+                    op: AluOp::Neg,
+                    dst: Reg::R0,
+                    src: Src::Reg(Reg::R3),
+                },
+                Insn::Exit,
+            ],
+        );
+        assert_eq!(
+            reject_with(&prog),
+            VerifierError::UninitRegister {
+                reg: Reg::R3,
+                at: 1
+            }
+        );
     }
 
     #[test]
@@ -1929,12 +1900,12 @@ mod tests {
                 Insn::Exit,
             ],
         );
-        assert_eq!(reject_with(&looping), AbsError::Loop);
+        assert_eq!(reject_with(&looping), VerifierError::Loop);
         let falls = Program::new(ProgramType::Xdp, vec![Insn::mov64_imm(Reg::R0, 0)]);
-        assert_eq!(reject_with(&falls), AbsError::FallOffEnd);
+        assert_eq!(reject_with(&falls), VerifierError::FallOffEnd);
         assert!(matches!(
             reject_with(&xdp("mov64 r0, 0\nexit\nmov64 r0, 1\nexit")),
-            AbsError::UnreachableCode { at: 2 }
+            VerifierError::UnreachableCode { at: 2 }
         ));
     }
 
@@ -1942,24 +1913,24 @@ mod tests {
     fn frame_pointer_write_rejected() {
         assert!(matches!(
             reject_with(&xdp("mov64 r10, 0\nmov64 r0, 0\nexit")),
-            AbsError::FramePointerWrite { at: 0 }
+            VerifierError::FramePointerWrite { at: 0 }
         ));
     }
 
     #[test]
-    fn stack_discipline_mirrors_legacy() {
+    fn stack_discipline_enforced() {
         assert!(matches!(
             reject_with(&xdp("ldxdw r0, [r10-8]\nexit")),
-            AbsError::StackReadBeforeWrite { off: -8, .. }
+            VerifierError::StackReadBeforeWrite { off: -8, .. }
         ));
         assert!(accept(&xdp("stdw [r10-8], 1\nldxdw r0, [r10-8]\nexit")));
         assert!(matches!(
             reject_with(&xdp("stdw [r10-520], 1\nmov64 r0, 0\nexit")),
-            AbsError::StackOutOfBounds { .. }
+            VerifierError::StackOutOfBounds { .. }
         ));
         assert!(matches!(
             reject_with(&xdp("stdw [r10-12], 1\nmov64 r0, 0\nexit")),
-            AbsError::Misaligned { .. }
+            VerifierError::Misaligned { .. }
         ));
     }
 
@@ -1968,7 +1939,7 @@ mod tests {
         let unchecked = xdp("ldxdw r2, [r1+0]\nldxb r0, [r2+0]\nexit");
         assert!(matches!(
             reject_with(&unchecked),
-            AbsError::PacketOutOfBounds { .. }
+            VerifierError::PacketOutOfBounds { .. }
         ));
         let checked = xdp(r"
             ldxdw r2, [r1+0]
@@ -1995,7 +1966,7 @@ mod tests {
         ");
         assert!(matches!(
             reject_with(&overread),
-            AbsError::PacketOutOfBounds { .. }
+            VerifierError::PacketOutOfBounds { .. }
         ));
     }
 
@@ -2017,7 +1988,7 @@ mod tests {
         );
         assert!(matches!(
             reject_with(&unchecked),
-            AbsError::PossibleNullDeref { .. }
+            VerifierError::PossibleNullDeref { .. }
         ));
         let checked = xdp_maps(
             r"
@@ -2052,7 +2023,7 @@ mod tests {
         );
         assert!(matches!(
             reject_with(&oob),
-            AbsError::MapValueOutOfBounds { .. }
+            VerifierError::MapValueOutOfBounds { .. }
         ));
     }
 
@@ -2060,7 +2031,7 @@ mod tests {
     fn caller_saved_registers_unreadable_after_call() {
         assert!(matches!(
             reject_with(&xdp("call ktime_get_ns\nmov64 r0, r1\nexit")),
-            AbsError::UninitRegister { reg: Reg::R1, .. }
+            VerifierError::UninitRegister { reg: Reg::R1, .. }
         ));
         assert!(accept(&xdp(
             "mov64 r6, 5\ncall ktime_get_ns\nmov64 r0, r6\nexit"
@@ -2071,11 +2042,11 @@ mod tests {
     fn pointer_arithmetic_restrictions() {
         assert!(matches!(
             reject_with(&xdp("mov64 r2, r10\nmul64 r2, 4\nmov64 r0, 0\nexit")),
-            AbsError::PointerArithmetic { .. }
+            VerifierError::PointerArithmetic { .. }
         ));
         assert!(matches!(
             reject_with(&xdp("add32 r1, 4\nmov64 r0, 0\nexit")),
-            AbsError::PointerArithmetic { .. }
+            VerifierError::PointerArithmetic { .. }
         ));
         assert!(accept(&xdp(
             "mov64 r2, r10\nadd64 r2, -8\nstdw [r2+0], 1\nmov64 r0, 0\nexit"
@@ -2086,10 +2057,13 @@ mod tests {
     fn unknown_pointer_and_helper_rejected() {
         assert!(matches!(
             reject_with(&xdp("lddw r2, 0xdeadbeef\nldxdw r0, [r2+0]\nexit")),
-            AbsError::UnknownPointerDeref { .. }
+            VerifierError::UnknownPointerDeref { .. }
         ));
         let prog = xdp("mov64 r1, 0\nmov64 r2, 0\nmov64 r3, 0\nmov64 r4, 0\nmov64 r5, 0\ncall helper_999\nmov64 r0, 0\nexit");
-        assert!(matches!(reject_with(&prog), AbsError::UnknownHelper { .. }));
+        assert!(matches!(
+            reject_with(&prog),
+            VerifierError::UnknownHelper { .. }
+        ));
     }
 
     #[test]
@@ -2109,18 +2083,17 @@ mod tests {
         ");
         assert!(matches!(
             reject_with(&prog),
-            AbsError::PacketOutOfBounds { .. } | AbsError::UnknownPointerDeref { .. }
+            VerifierError::PacketOutOfBounds { .. } | VerifierError::UnknownPointerDeref { .. }
         ));
     }
 
-    // ---- precision beyond the legacy walker --------------------------------
+    // ---- bounded variable offsets and range analysis -----------------------
 
     #[test]
     fn bounded_variable_packet_offset_accepted() {
         // r5 = first payload byte & 7 -> packet pointer at offset 14+[0,7];
         // the bounds check proves 14+7+1 = 22 bytes, so a byte load through
-        // the variable pointer is in range. The legacy walker collapses
-        // `r2 + r5` to a lost pointer and rejects this.
+        // the variable pointer is in range.
         let prog = xdp(r"
             ldxdw r2, [r1+0]
             ldxdw r3, [r1+8]
@@ -2158,7 +2131,7 @@ mod tests {
         ");
         assert!(matches!(
             reject_with(&prog),
-            AbsError::PacketOutOfBounds { .. }
+            VerifierError::PacketOutOfBounds { .. }
         ));
     }
 
@@ -2203,7 +2176,7 @@ mod tests {
         );
         assert!(matches!(
             reject_with(&unbounded),
-            AbsError::PacketOutOfBounds { .. } | AbsError::MapValueOutOfBounds { .. }
+            VerifierError::PacketOutOfBounds { .. } | VerifierError::MapValueOutOfBounds { .. }
         ));
     }
 
@@ -2227,10 +2200,8 @@ mod tests {
         let result = run(&prog);
         assert!(result.verdict.is_accept(), "got {:?}", result.verdict);
         assert!(result.stats.branches_decided >= 1);
-        // The taken edge of the deciding branch (insn 7) is dead.
-        assert!(!result.facts.edge_feasible(7, true));
-        assert!(result.facts.edge_feasible(7, false));
-        assert_eq!(result.stats.dead_edges, 1);
+        // The taken target of the deciding branch (insn 7) is never reached.
+        assert_eq!(result.facts.fact(9, Reg::R2), None);
     }
 
     #[test]
@@ -2270,10 +2241,10 @@ mod tests {
     }
 
     #[test]
-    fn state_budget_yields_unknown() {
+    fn complexity_limit_rejects() {
         // Each undecided branch doubles the state set: the skipped adds give
         // r6 a distinct constant per path, so no state subsumes another and
-        // the walk must hit the configured budget.
+        // the walk must hit the configured limit.
         let mut text = String::new();
         text.push_str("mov64 r6, 0\ncall get_prandom_u32\nmov64 r7, r0\ncall get_prandom_u32\n");
         for i in 0..14u64 {
@@ -2282,14 +2253,17 @@ mod tests {
         text.push_str("mov64 r0, r6\nexit");
         let prog = xdp(&text);
         let config = AbsintConfig {
-            state_budget: 500,
+            complexity_limit: 500,
             ..AbsintConfig::default()
         };
         let result = analyze(&prog, &config);
-        assert_eq!(result.verdict, AbsVerdict::Unknown);
-        assert!(result.stats.budget_exhausted);
+        assert_eq!(
+            result.verdict,
+            Verdict::Reject(VerifierError::ComplexityExceeded { limit: 500 })
+        );
+        assert_eq!(result.stats.insns_examined, 500);
         // Facts from a partial walk are not exported.
-        assert_eq!(result.facts.dead_edges(), 0);
+        assert_eq!(result.facts.fact(1, Reg::R6), None);
     }
 
     #[test]
@@ -2311,9 +2285,7 @@ mod tests {
     }
 
     #[test]
-    fn rejects_are_subset_of_legacy_on_probes() {
-        // Each probe must reject here; the differential test in the root
-        // suite checks the legacy walker agrees (reject-implication).
+    fn unsafe_probes_rejected() {
         let probes = [
             "ldxdw r2, [r1+0]\nldxb r0, [r2+0]\nexit",
             "mov64 r0, r7\nexit",

@@ -13,8 +13,7 @@
 //!   program point, whether each register holds a scalar, a known constant,
 //!   or a pointer into a specific memory region at a statically known offset.
 //!   This is the engine behind the paper's *memory type / memory offset /
-//!   map concretization* optimizations (§5.I–III) and behind the safety
-//!   checker's bounds and alignment reasoning (§6),
+//!   map concretization* optimizations (§5.I–III),
 //! * [`dce`] — nop stripping, unreachable-code removal, dead-code
 //!   elimination and program canonicalization (used by the equivalence-cache
 //!   and to clean up synthesized outputs),
@@ -22,8 +21,9 @@
 //!   `kernel/bpf/tnum.c` transfer functions,
 //! * [`absint`] — the kernel-conformant abstract interpreter combining
 //!   tnums, signed/unsigned value ranges and pointer provenance with
-//!   bounded offsets; the engine behind the `K2_STATIC_ANALYSIS` screening
-//!   constraint and the solver-pruning facts fed to `bpf-equiv`.
+//!   bounded offsets; the only safety engine (it decides every verdict of
+//!   `bpf-safety`) and the source of the window-precondition facts fed to
+//!   `bpf-equiv`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,8 +36,8 @@ pub mod tnum;
 pub mod types;
 
 pub use absint::{
-    analyze, AbsError, AbsReg, AbsVerdict, AbsintConfig, AbsintResult, AbsintStats, ProgramFacts,
-    ScalarRange,
+    analyze, AbsReg, AbsintConfig, AbsintResult, AbsintStats, ProgramFacts, ScalarRange, Verdict,
+    VerifierError,
 };
 pub use cfg::{BasicBlock, Cfg, CfgError};
 pub use dce::{canonicalize, dead_code_elim, strip_nops};

@@ -42,17 +42,15 @@ pub struct EquivOptions {
     /// therefore search trajectories — stay bit-identical with it on or off.
     pub incremental_solving: bool,
     /// Use the kernel-conformant abstract interpreter
-    /// ([`bpf_analysis::absint`]) as a solver-pruning oracle. When the
-    /// analysis accepts the source program, its derived facts are used two
-    /// ways: (1) range/known-bits facts at a window's entry strengthen the
-    /// windowed check's precondition, converting window fallbacks into
-    /// window hits (full-program queries can only decrease); (2) branch
-    /// edges proven dead are encoded under a `false` condition on the
-    /// incremental-solver path, shrinking the source-side formula. Both are
-    /// verdict-preserving — and the cold path (which produces counterexample
-    /// models) is untouched — so search trajectories are bit-identical with
-    /// the knob on or off. The `K2_STATIC_ANALYSIS` environment override is
-    /// resolved by the `k2::api` configuration layering.
+    /// ([`bpf_analysis::absint`]) as a solver-pruning oracle: when the
+    /// analysis accepts the source program, range/known-bits facts at a
+    /// window's entry strengthen the windowed check's precondition,
+    /// converting window fallbacks into window hits (full-program queries
+    /// can only decrease). A window hit only replaces a full check that
+    /// would have proven equivalence, so search trajectories are
+    /// bit-identical with the knob on or off. The `K2_STATIC_ANALYSIS`
+    /// environment override is resolved by the `k2::api` configuration
+    /// layering.
     pub static_analysis: bool,
 }
 
@@ -136,10 +134,6 @@ pub struct EquivStats {
     /// across windowed checks (range/known-bits bounds on free entry
     /// registers).
     pub static_window_facts: u64,
-    /// Branch edges encoded under a `false` condition because the abstract
-    /// interpreter proved them dead (counted per source encoding on the
-    /// incremental-solver path).
-    pub static_pruned_branches: u64,
     /// Checks refuted by the pre-SMT concrete-execution stage: a divergent
     /// input was found in microseconds, so no solver query was built.
     pub refuted_by_testing: u64,
@@ -170,7 +164,6 @@ impl EquivStats {
         self.window_fallbacks += other.window_fallbacks;
         self.window_time_us += other.window_time_us;
         self.static_window_facts += other.static_window_facts;
-        self.static_pruned_branches += other.static_pruned_branches;
         self.refuted_by_testing += other.refuted_by_testing;
         self.smt_escalations += other.smt_escalations;
         self.refute_time_us += other.refute_time_us;
@@ -594,7 +587,7 @@ impl EquivChecker {
         let fingerprint = fingerprint_of(&src.insns);
         if !matches!(&self.facts_ctx, Some((fp, _)) if *fp == fingerprint) {
             let result = bpf_analysis::analyze(src, &bpf_analysis::AbsintConfig::default());
-            let facts = matches!(result.verdict, bpf_analysis::AbsVerdict::Accept)
+            let facts = matches!(result.verdict, bpf_analysis::Verdict::Accept)
                 .then(|| Arc::new(result.facts));
             self.facts_ctx = Some((fingerprint, facts));
         }
@@ -658,28 +651,16 @@ impl EquivChecker {
             });
         }
         let encode_options = self.options.encode_options();
-        // Dead-edge pruning is safe here and only here: the incremental
-        // path's decisions are UNSAT-only (SAT escalates to the cold solve,
-        // which re-derives the canonical counterexample model from an
-        // unpruned encoding), and pruning preserves the formula's
-        // satisfying-assignment set exactly (see `Encoder::set_branch_facts`).
-        let facts = self.source_facts(src);
         let telemetry = self.telemetry.clone();
         let ctx = self.inc_ctx.as_mut().expect("just ensured");
 
         // Encode both programs into the persistent hash-consed pool. The
         // source re-encodes to the exact same terms every query (so its
-        // constraints dedup to zero new work; the facts are deterministic
-        // per source, so pruned encodings dedup the same way); the
-        // candidate's terms are new, but shared subterms hit the blaster
-        // memo.
+        // constraints dedup to zero new work); the candidate's terms are
+        // new, but shared subterms hit the blaster memo.
         let encode_span = telemetry.span("equiv.encode");
         let mut encoder = Encoder::new(&mut ctx.pool, encode_options);
-        if let Some(facts) = &facts {
-            encoder.set_branch_facts(0, facts.clone());
-        }
         let enc_src = encoder.encode_program(src, 0).ok()?;
-        let pruned_edges = encoder.pruned_edges();
         let n_src = encoder.constraints.len();
         let enc_cand = encoder.encode_program(cand, 1).ok()?;
         let call_compat = encoder.call_logs_compatible(&enc_src, &enc_cand)?;
@@ -708,7 +689,6 @@ impl EquivChecker {
         goals.push(differ);
         let result = ctx.solver.check_assuming(&ctx.pool, &goals);
         let (cnf_vars, cnf_clauses) = (ctx.solver.stats.cnf_vars, ctx.solver.stats.cnf_clauses);
-        self.stats.static_pruned_branches += pruned_edges;
         match result {
             CheckResult::Unsat => {
                 self.stats.last_cnf_vars = cnf_vars;
@@ -1248,38 +1228,6 @@ mod tests {
         assert_eq!(without.stats.window_fallbacks, 1);
         assert_eq!(without.stats.queries, 1, "fallback pays a full query");
         assert_eq!(without.stats.static_window_facts, 0);
-    }
-
-    #[test]
-    fn dead_edge_pruning_preserves_verdicts() {
-        // `jgt r6, 10` with r6 == 5 is never taken; the dead code differs
-        // between source and the first candidate, which is therefore
-        // equivalent. The abstract interpreter proves the edge dead and the
-        // incremental encoding replaces its condition with `false` — without
-        // changing any verdict.
-        let src = xdp("mov64 r6, 5\njgt r6, 10, +2\nmov64 r0, 1\nexit\nmov64 r0, 2\nexit");
-        let equiv_cand = xdp("mov64 r6, 5\njgt r6, 10, +2\nmov64 r0, 1\nexit\nmov64 r0, 3\nexit");
-        let diff_cand = xdp("mov64 r6, 5\njgt r6, 10, +2\nmov64 r0, 7\nexit\nmov64 r0, 2\nexit");
-
-        let mut with = EquivChecker::new(EquivOptions {
-            enable_cache: false,
-            ..EquivOptions::default()
-        });
-        let mut without = EquivChecker::new(EquivOptions {
-            enable_cache: false,
-            static_analysis: false,
-            ..EquivOptions::default()
-        });
-        for cand in [&equiv_cand, &diff_cand] {
-            let a = with.check(&src, cand);
-            let b = without.check(&src, cand);
-            assert_eq!(a, b, "outcome drift on {cand}");
-        }
-        assert!(
-            with.stats.static_pruned_branches > 0,
-            "the dead taken edge should be pruned at least once"
-        );
-        assert_eq!(without.stats.static_pruned_branches, 0);
     }
 
     #[test]

@@ -433,7 +433,7 @@ mod tests {
         assert!(!plain.is_equivalent(), "{plain:?}");
         assert_eq!(n0, 0);
         let res = bpf_analysis::analyze(&src, &bpf_analysis::AbsintConfig::default());
-        assert!(matches!(res.verdict, bpf_analysis::AbsVerdict::Accept));
+        assert!(matches!(res.verdict, bpf_analysis::Verdict::Accept));
         let (with, _, n) =
             check_window_with(&ctx, &src, window, &replacement, &opts(), Some(&res.facts));
         assert!(with.is_equivalent(), "{with:?}");

@@ -13,31 +13,24 @@
 //!   pointers, no immediate stores through context pointers, `r1`–`r5`
 //!   unreadable after a helper call, `r10` read-only).
 //! * [`LinuxVerifier`] — the same engine configured like the in-kernel
-//!   checker: a path-by-path symbolic walk with a complexity budget
-//!   (instructions examined) and a program-size limit, used to reproduce the
-//!   paper's Table 5 ("all K2 outputs pass the kernel checker").
+//!   checker: the kernel's complexity limit (instructions examined) and
+//!   program-size limit, used to reproduce the paper's Table 5 ("all K2
+//!   outputs pass the kernel checker").
 //!
-//! The engine ([`verifier`]) is a path-sensitive abstract interpreter: it
-//! walks every program path (programs are loop-free and small), tracking for
-//! each register whether it holds a scalar, a bounded scalar, or a pointer
-//! with a known region and offset range, plus which stack bytes have been
-//! initialized, and which packet length has been proven by bounds checks.
-//!
-//! Both entry points can additionally run the kernel-conformant abstract
-//! interpreter ([`bpf_analysis::absint`]: tnums, signed/unsigned ranges,
-//! bounded pointer offsets) as a *screening pass* ahead of the walk
-//! (`static_analysis` knob, on by default). The screen's reject conditions
-//! mirror the walk's, so verdicts are bit-identical with the knob off; a
-//! screen rejection merely short-circuits the walk, and a screen that runs
-//! out of its state budget reports [`ScreenOutcome::Unknown`] and defers.
+//! The engine is the kernel-conformant abstract interpreter
+//! [`bpf_analysis::analyze`]: a path-sensitive walk over tnums,
+//! signed/unsigned ranges and pointer provenance with bounded offsets,
+//! which skips branch edges its ranges prove infeasible (the kernel's
+//! `is_branch_taken`). Each check runs it once and returns its verdict; a
+//! run that exhausts the complexity limit is rejected with
+//! [`VerifierError::ComplexityExceeded`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod linux;
 pub mod safety;
-pub mod verifier;
 
+pub use bpf_analysis::{AbsintStats, Verdict, VerifierError};
 pub use linux::{LinuxVerifier, LinuxVerifierConfig};
 pub use safety::{SafetyChecker, SafetyConfig, SafetyStats};
-pub use verifier::{ScreenOutcome, Verdict, VerifierError, VerifierStats};

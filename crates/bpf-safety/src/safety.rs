@@ -1,8 +1,6 @@
 //! The K2-side safety checker used inside the stochastic search (paper §6).
 
-use crate::verifier::{
-    screen, verify, ScreenOutcome, Verdict, VerifierConfig, VerifierError, VerifierStats,
-};
+use bpf_analysis::{analyze, AbsintConfig, AbsintStats, Verdict, VerifierError};
 use bpf_isa::Program;
 
 /// Configuration of the K2 safety checker.
@@ -18,18 +16,6 @@ pub struct SafetyConfig {
     pub max_insns: usize,
     /// Enforce size-aligned stack accesses.
     pub enforce_stack_alignment: bool,
-    /// Screen candidates with the kernel-conformant abstract interpreter
-    /// (tnum + range analysis) before the authoritative path walk. The
-    /// screen's rejections mirror the walk's, so verdicts — and therefore
-    /// search trajectories — are bit-identical either way; only where the
-    /// work happens changes. The `K2_STATIC_ANALYSIS` environment override
-    /// is resolved by the `k2::api` configuration layering.
-    pub static_analysis: bool,
-    /// State budget of the screening pass: instructions examined across all
-    /// abstract paths before the screen gives up with a clean
-    /// [`ScreenOutcome::Unknown`] (bounded iteration instead of an
-    /// open-ended walk).
-    pub state_budget: usize,
 }
 
 impl Default for SafetyConfig {
@@ -38,8 +24,6 @@ impl Default for SafetyConfig {
             complexity_limit: 100_000,
             max_insns: 4096,
             enforce_stack_alignment: true,
-            static_analysis: true,
-            state_budget: 16_384,
         }
     }
 }
@@ -52,9 +36,6 @@ pub struct SafetyChecker {
     pub config: SafetyConfig,
     /// Accumulated statistics.
     pub stats: SafetyStats,
-    /// Engine configuration, resolved once at construction and reused for
-    /// every check (the checker itself is constructed once per chain).
-    engine_config: VerifierConfig,
 }
 
 /// Accumulated statistics of a [`SafetyChecker`].
@@ -66,14 +47,8 @@ pub struct SafetyStats {
     pub safe: u64,
     /// Candidates found unsafe.
     pub unsafe_found: u64,
-    /// Total instructions examined by the underlying verifier.
+    /// Total instructions examined by the abstract interpreter.
     pub insns_examined: u64,
-    /// Candidates screened by the abstract interpreter.
-    pub screens: u64,
-    /// Candidates the screen rejected (the path walk was skipped).
-    pub screen_rejects: u64,
-    /// Screens that ran out of state budget (the path walk decided).
-    pub screen_unknowns: u64,
 }
 
 impl SafetyStats {
@@ -84,9 +59,6 @@ impl SafetyStats {
         self.safe += other.safe;
         self.unsafe_found += other.unsafe_found;
         self.insns_examined += other.insns_examined;
-        self.screens += other.screens;
-        self.screen_rejects += other.screen_rejects;
-        self.screen_unknowns += other.screen_unknowns;
     }
 }
 
@@ -96,49 +68,27 @@ impl SafetyChecker {
         SafetyChecker {
             config,
             stats: SafetyStats::default(),
-            engine_config: VerifierConfig {
-                max_insns: config.max_insns,
-                complexity_limit: config.complexity_limit,
-                enforce_stack_alignment: config.enforce_stack_alignment,
-                forbid_ctx_store_imm: true,
-                forbid_pointer_alu: true,
-                forbid_unreachable: true,
-            },
         }
     }
 
-    /// Check one candidate. `Ok(())` means safe; `Err` carries the first
-    /// violated property (which the search turns into the `ERR_MAX` safety
-    /// cost of §3.2).
-    ///
-    /// With [`SafetyConfig::static_analysis`] on, the abstract interpreter
-    /// screens the candidate first: a screen rejection short-circuits the
-    /// path walk (the walk would reject too — the screen's reject conditions
-    /// are a mirror of the walk's); a pass or budget-exhausted screen falls
-    /// through to the authoritative walk. The safe/unsafe verdict is
-    /// identical with the knob off.
-    pub fn check(&mut self, prog: &Program) -> Result<VerifierStats, VerifierError> {
+    /// Check one candidate. `Ok` (the run's statistics) means safe; `Err`
+    /// carries the first violated property (which the search turns into the
+    /// `ERR_MAX` safety cost of §3.2).
+    pub fn check(&mut self, prog: &Program) -> Result<AbsintStats, VerifierError> {
         self.stats.checked += 1;
-        if self.config.static_analysis {
-            self.stats.screens += 1;
-            let (outcome, abs_stats) = screen(prog, &self.engine_config, self.config.state_budget);
-            self.stats.insns_examined += abs_stats.insns_examined as u64;
-            match outcome {
-                ScreenOutcome::Reject(e) => {
-                    self.stats.screen_rejects += 1;
-                    self.stats.unsafe_found += 1;
-                    return Err(e);
-                }
-                ScreenOutcome::Unknown => self.stats.screen_unknowns += 1,
-                ScreenOutcome::Pass => {}
-            }
-        }
-        let (verdict, stats) = verify(prog, &self.engine_config);
-        self.stats.insns_examined += stats.insns_examined as u64;
-        match verdict {
+        let result = analyze(
+            prog,
+            &AbsintConfig {
+                max_insns: self.config.max_insns,
+                complexity_limit: self.config.complexity_limit,
+                enforce_stack_alignment: self.config.enforce_stack_alignment,
+            },
+        );
+        self.stats.insns_examined += result.stats.insns_examined as u64;
+        match result.verdict {
             Verdict::Accept => {
                 self.stats.safe += 1;
-                Ok(stats)
+                Ok(result.stats)
             }
             Verdict::Reject(e) => {
                 self.stats.unsafe_found += 1;
@@ -156,6 +106,7 @@ impl SafetyChecker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LinuxVerifier;
     use bpf_isa::{asm, ProgramType};
 
     fn xdp(text: &str) -> Program {
@@ -173,8 +124,6 @@ mod tests {
         assert_eq!(checker.stats.safe, 1);
         assert_eq!(checker.stats.unsafe_found, 1);
         assert!(checker.stats.insns_examined > 0);
-        assert_eq!(checker.stats.screens, 2);
-        assert_eq!(checker.stats.screen_rejects, 1);
     }
 
     #[test]
@@ -182,14 +131,13 @@ mod tests {
         let cfg = SafetyConfig::default();
         assert_eq!(cfg.max_insns, 4096);
         assert!(cfg.enforce_stack_alignment);
-        assert!(cfg.static_analysis);
     }
 
     #[test]
-    fn screening_never_flips_the_verdict() {
+    fn probes_agree_with_the_kernel_checker_model() {
         // Probe corpus spanning accepts and every major rejection family:
-        // the screened checker must agree with the screen-off checker on
-        // every program (the trajectory-preservation contract).
+        // the search-side checker and the kernel-checker model run the same
+        // engine and differ only in their complexity limit.
         let probes = [
             "mov64 r0, 0\nexit",
             "ldxdw r0, [r10-8]\nexit",
@@ -200,35 +148,35 @@ mod tests {
             "mov64 r0, 0\nexit\nmov64 r0, 1\nexit",
             "stdw [r10-520], 1\nmov64 r0, 0\nexit",
         ];
-        let mut screened = SafetyChecker::new(SafetyConfig::default());
-        let mut plain = SafetyChecker::new(SafetyConfig {
-            static_analysis: false,
-            ..SafetyConfig::default()
-        });
+        let mut checker = SafetyChecker::new(SafetyConfig::default());
+        let kernel = LinuxVerifier::default();
         for text in probes {
             let prog = xdp(text);
+            let kernel_err = match kernel.load(&prog).0 {
+                Verdict::Accept => None,
+                Verdict::Reject(e) => Some(e),
+            };
             assert_eq!(
-                screened.is_safe(&prog),
-                plain.is_safe(&prog),
+                checker.check(&prog).err(),
+                kernel_err,
                 "verdict diverged on: {text}"
             );
         }
-        assert_eq!(screened.stats.screens, probes.len() as u64);
-        assert_eq!(plain.stats.screens, 0);
-        assert!(screened.stats.screen_rejects > 0);
+        assert_eq!(checker.stats.safe, 2);
+        assert_eq!(checker.stats.unsafe_found, probes.len() as u64 - 2);
     }
 
     #[test]
-    fn screen_budget_falls_back_to_the_walk() {
-        // A tiny state budget forces ScreenOutcome::Unknown; the path walk
-        // still resolves the verdict.
+    fn complexity_limit_rejects() {
         let mut checker = SafetyChecker::new(SafetyConfig {
-            state_budget: 1,
+            complexity_limit: 1,
             ..SafetyConfig::default()
         });
-        assert!(checker.is_safe(&xdp("mov64 r0, 0\nexit")));
-        assert_eq!(checker.stats.screen_unknowns, 1);
-        assert_eq!(checker.stats.screen_rejects, 0);
-        assert_eq!(checker.stats.safe, 1);
+        assert_eq!(
+            checker.check(&xdp("mov64 r0, 0\nexit")).unwrap_err(),
+            VerifierError::ComplexityExceeded { limit: 1 }
+        );
+        assert_eq!(checker.stats.unsafe_found, 1);
+        assert_eq!(checker.stats.insns_examined, 1);
     }
 }

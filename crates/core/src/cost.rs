@@ -93,13 +93,13 @@ pub struct CostSettings {
     /// `K2_INCREMENTAL_SAT` environment override is resolved by the
     /// `k2::api` configuration layering.
     pub incremental_sat: bool,
-    /// Screen candidates with the kernel-conformant abstract interpreter
-    /// (tnum + range analysis) before the authoritative safety walk, and
-    /// feed its derived facts to the window-based equivalence checker as
-    /// solver-pruning hints. The screen's rejections mirror the walk's, so
-    /// safety verdicts — and search trajectories — are bit-identical with
-    /// the knob off. The `K2_STATIC_ANALYSIS` environment override is
-    /// resolved by the `k2::api` configuration layering.
+    /// Feed the abstract interpreter's facts about the source to the
+    /// window-based equivalence checker as window preconditions (see
+    /// [`EquivOptions::static_analysis`]). Pure optimization: search
+    /// trajectories are bit-identical with the knob off. Safety checking
+    /// always runs the abstract interpreter. The `K2_STATIC_ANALYSIS`
+    /// environment override is resolved by the `k2::api` configuration
+    /// layering.
     pub static_analysis: bool,
 }
 
@@ -251,10 +251,7 @@ impl CostFunction {
             tests,
             expected,
             equiv,
-            safety: SafetyChecker::new(SafetyConfig {
-                static_analysis: settings.static_analysis,
-                ..SafetyConfig::default()
-            }),
+            safety: SafetyChecker::new(SafetyConfig::default()),
             cost_model,
             src_perf,
             backend,

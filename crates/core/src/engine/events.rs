@@ -83,17 +83,13 @@ pub enum SearchEvent {
         shared_cache_entries: usize,
         /// Counterexamples in the merged cross-chain pool.
         counterexample_pool: usize,
-        /// Candidates screened by the abstract interpreter before the safety
-        /// path walk so far (zero with `static_analysis` off).
+        /// Candidates safety-checked by the abstract interpreter so far.
         safety_screens: u64,
-        /// Screened candidates rejected without running the path walk.
+        /// Checked candidates the abstract interpreter rejected as unsafe.
         safety_screen_rejects: u64,
         /// Precondition constraints asserted on windowed checks from
         /// abstract-interpretation facts about the source program.
         static_window_facts: u64,
-        /// Branch edges the abstract interpreter proved dead and the
-        /// incremental encoder replaced with `false`.
-        static_pruned_branches: u64,
     },
     /// An epoch completed and its barrier exchanges ran.
     EpochBarrier {

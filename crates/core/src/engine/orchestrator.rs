@@ -59,7 +59,7 @@ pub struct EngineReport {
     /// hits per layer, solver time).
     pub equiv: EquivStats,
     /// Safety-checker statistics summed over all chains (candidates checked,
-    /// abstract-interpreter screens and screen rejects).
+    /// found safe and unsafe, instructions examined).
     pub safety: bpf_safety::SafetyStats,
     /// Combined verdict-cache statistics: hits through either layer vs.
     /// checks that had to query the solver.
@@ -298,10 +298,9 @@ pub fn run_search(src: &Program, opts: &CompilerOptions) -> EngineOutcome {
                 smt_escalations: equiv.smt_escalations,
                 shared_cache_entries: ctx.cache().len(),
                 counterexample_pool: ctx.pool().len(),
-                safety_screens: safety.screens,
-                safety_screen_rejects: safety.screen_rejects,
+                safety_screens: safety.checked,
+                safety_screen_rejects: safety.unsafe_found,
                 static_window_facts: equiv.static_window_facts,
-                static_pruned_branches: equiv.static_pruned_branches,
             });
         }
         sink.emit(SearchEvent::EpochBarrier {

@@ -41,7 +41,7 @@ pub struct EngineConfig {
     /// punctuality: how many epochs fit in the budget depends on machine
     /// speed (the best-so-far invariant still holds on early exit).
     pub time_budget_ms: Option<u64>,
-    /// Worker threads for [`crate::K2Compiler::optimize_batch`];
+    /// Worker threads for [`crate::engine::run_batch`];
     /// `0` means one per available CPU (capped by the number of jobs).
     pub batch_workers: usize,
 }

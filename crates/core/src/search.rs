@@ -313,11 +313,10 @@ mod tests {
     }
 
     #[test]
-    fn trajectories_identical_with_and_without_static_screening() {
-        // The abstract-interpreter screen is a pure optimization: its reject
-        // conditions mirror the authoritative walk's, so every safety
-        // verdict — and therefore the whole same-seed trajectory — must be
-        // bit-identical with the knob off (the `K2_STATIC_ANALYSIS=0` gate).
+    fn trajectories_identical_with_and_without_static_analysis() {
+        // The knob only adds window-precondition facts to the equivalence
+        // checker, a pure optimization: the whole same-seed trajectory must
+        // be bit-identical with it off (the `K2_STATIC_ANALYSIS=0` gate).
         let src = Program::new(
             ProgramType::Xdp,
             asm::assemble("mov64 r0, 5\nadd64 r0, 7\nadd64 r0, 0\nmov64 r3, 9\nexit").unwrap(),
@@ -347,12 +346,7 @@ mod tests {
         assert_eq!(at_on, at_off);
         assert_eq!(best_on.0.insns, best_off.0.insns);
         assert_eq!(best_on.1, best_off.1);
-        // Identical verdicts, different engines: the screened run really did
-        // screen, the unscreened run never touched the abstract interpreter.
-        assert_eq!(safety_on.checked, safety_off.checked);
-        assert_eq!(safety_on.safe, safety_off.safe);
-        assert_eq!(safety_on.unsafe_found, safety_off.unsafe_found);
-        assert_eq!(safety_on.screens, safety_on.checked);
-        assert_eq!(safety_off.screens, 0);
+        // Safety checking does not depend on the knob.
+        assert_eq!(safety_on, safety_off);
     }
 }

@@ -63,7 +63,7 @@ enum Slot {
 /// as flat objects, gauges as `{last, max}`, timers as
 /// `{count, total_us, p50_us, p90_us, p99_us, max_us}`.
 fn snapshot_json(snapshot: &TelemetrySnapshot) -> Json {
-    let int = |v: u64| Json::Int(v as i64);
+    let int = |v: u64| Json::Int(v.into());
     Json::Obj(vec![
         (
             "counters".into(),

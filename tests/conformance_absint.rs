@@ -1,25 +1,27 @@
-//! Kernel-verifier conformance of the abstract interpreter (`bpf-analysis`).
+//! Kernel-verifier conformance of the abstract interpreter (`bpf-analysis`),
+//! the engine behind every safety verdict of `bpf-safety`.
 //!
 //! Three layers pin the tnum + range analysis to observable behaviour:
 //!
 //! * **Dynamic soundness** — a program the abstract interpreter accepts must
 //!   never trap in the reference interpreter, on the full benchmark suite and
-//!   on a deterministic sweep of ≥ 1000 generated programs. Where the
+//!   on a deterministic sweep of 1000 generated programs. Where the
 //!   analysis exports a scalar fact for `r0` at an `exit`, the observed
 //!   return value must be a member of that fact (tnum and both ranges).
-//! * **Screen conformance** — turning the screen on
-//!   ([`SafetyConfig::static_analysis`]) must not flip a single safety
-//!   verdict: the screened checker and the legacy path walker return
-//!   identical results on every generated program.
+//! * **Proposal-stream sweep** — every candidate the search's proposal
+//!   generator produces from the benchmark baselines that [`SafetyChecker`]
+//!   accepts must run without a trap, with packet lengths cycled from 1 to
+//!   1500 bytes.
 //! * **Must-reject corpus** — a fixed corpus of unsafe probes, with the
-//!   legacy checker's verdict recorded next to each, that the abstract
-//!   interpreter must also reject (with the mirrored error).
+//!   verdict recorded next to each, that both checkers must reject with
+//!   exactly that error.
 
-use bpf_analysis::{analyze, AbsVerdict, AbsintConfig, ScalarRange};
+use bpf_analysis::{analyze, AbsintConfig, ScalarRange};
 use bpf_interp::{run, InputGenerator};
 use bpf_isa::{asm, AluOp, Insn, JmpOp, MemSize, Program, ProgramType, Reg, Src};
-use bpf_safety::verifier::{screen, VerifierConfig};
-use bpf_safety::{SafetyChecker, SafetyConfig, ScreenOutcome};
+use bpf_safety::{LinuxVerifier, SafetyChecker, SafetyConfig, Verdict};
+use k2_core::proposals::RuleProbabilities;
+use k2_core::ProposalGenerator;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -71,8 +73,7 @@ fn bench_suite_is_dynamically_sound() {
 }
 
 // ---------------------------------------------------------------------------
-// Deterministic ≥1000-program sweep: dynamic soundness of accepts, verdict
-// identity of the screened checker, reject conformance against the walker.
+// Deterministic 1000-program sweep: dynamic soundness of accepts.
 // ---------------------------------------------------------------------------
 
 const SCALARS: [Reg; 6] = [Reg::R0, Reg::R2, Reg::R3, Reg::R6, Reg::R7, Reg::R8];
@@ -161,75 +162,106 @@ fn random_program(rng: &mut StdRng) -> Program {
 }
 
 #[test]
-fn random_sweep_is_sound_and_screen_conformant() {
+fn random_sweep_is_dynamically_sound() {
     let mut rng = StdRng::seed_from_u64(0x5eed_ab51);
     let mut generator = InputGenerator::new(0xab51);
-    let legacy_config = SafetyConfig {
-        static_analysis: false,
-        ..SafetyConfig::default()
-    };
-    let screened_config = SafetyConfig {
-        static_analysis: true,
-        ..SafetyConfig::default()
-    };
-    let mut legacy = SafetyChecker::new(legacy_config);
-    let mut screened = SafetyChecker::new(screened_config);
-    let (mut accepted, mut rejected) = (0usize, 0usize);
+    let mut checker = SafetyChecker::new(SafetyConfig::default());
     for case in 0..1_000usize {
         let prog = random_program(&mut rng);
-
-        // Verdict identity: the screen must not flip a single safe/unsafe
-        // bit (the search consumes only the bit; the *first* error reported
-        // may legitimately differ when exploration order does).
-        let walker_verdict = legacy.check(&prog).map(|_| ());
-        let screened_verdict = screened.check(&prog).map(|_| ());
-        assert_eq!(
-            walker_verdict.is_ok(),
-            screened_verdict.is_ok(),
-            "case {case}: screen flipped the safety verdict for:\n{prog}"
-        );
-
-        let result = analyze(&prog, &AbsintConfig::default());
-        match result.verdict {
-            AbsVerdict::Accept => {
-                accepted += 1;
-                // Dynamic soundness: accepted programs never trap.
-                for input in generator.generate_suite(&prog, 3) {
-                    run(&prog, &input).unwrap_or_else(|e| {
-                        panic!("case {case} trapped despite absint accept: {e}\n{prog}")
-                    });
-                }
+        if checker.is_safe(&prog) {
+            for input in generator.generate_suite(&prog, 3) {
+                run(&prog, &input).unwrap_or_else(|e| {
+                    panic!("case {case} trapped despite being accepted: {e}\n{prog}")
+                });
             }
-            AbsVerdict::Reject(_) => {
-                rejected += 1;
-                // Reject conformance: the authoritative walker agrees.
-                assert!(
-                    walker_verdict.is_err(),
-                    "case {case}: absint rejected a program the walker accepts:\n{prog}"
-                );
-            }
-            AbsVerdict::Unknown => {}
         }
     }
     // The sweep must be non-vacuous on both sides.
-    assert!(accepted >= 100, "only {accepted} accepted programs");
-    assert!(rejected >= 100, "only {rejected} rejected programs");
-    // The screened checker did screen (and its rejects skipped path walks).
-    assert_eq!(screened.stats.screens, 1_000);
-    assert!(screened.stats.screen_rejects > 0);
-    assert_eq!(legacy.stats.screens, 0);
+    assert!(
+        checker.stats.safe >= 100,
+        "only {} accepted",
+        checker.stats.safe
+    );
+    assert!(
+        checker.stats.unsafe_found >= 100,
+        "only {} rejected",
+        checker.stats.unsafe_found
+    );
 }
 
 // ---------------------------------------------------------------------------
-// Must-reject corpus: unsafe probes with the legacy checker's verdict
-// recorded verbatim; the abstract interpreter must reject each one with the
-// mirrored error.
+// Proposal-stream sweep: the candidates the search actually checks.
+// ---------------------------------------------------------------------------
+
+/// Packet lengths the accepted candidates run on, cycled per input: from a
+/// one-byte packet (every header read out of bounds) to a full MTU.
+const PACKET_LENS: [usize; 10] = [1, 14, 18, 34, 42, 54, 60, 64, 256, 1500];
+
+#[test]
+fn proposal_stream_accepts_never_trap() {
+    let mut checker = SafetyChecker::new(SafetyConfig::default());
+    let mut runs = 0u64;
+    for bench in bpf_bench_suite::all() {
+        let (_, baseline) = k2::baseline::best_baseline(&bench.prog);
+        for seed in 0..2u64 {
+            let mut proposals = ProposalGenerator::new(
+                &baseline,
+                RuleProbabilities::default(),
+                0x5eed + 1000 * seed + bench.row as u64,
+            );
+            let mut inputs = InputGenerator::new(seed);
+            let mut current = baseline.insns.clone();
+            for step in 0..150usize {
+                let (proposal, _, _) = proposals.propose(&current);
+                let cand = baseline.with_insns(proposal.clone());
+                if !checker.is_safe(&cand) {
+                    continue;
+                }
+                for i in 0..4 {
+                    inputs.packet_len = PACKET_LENS[(step + i) % PACKET_LENS.len()];
+                    let input = inputs.generate(&cand);
+                    runs += 1;
+                    run(&cand, &input).unwrap_or_else(|e| {
+                        panic!(
+                            "{} step {step}: accepted candidate trapped on a {}-byte packet: \
+                             {e}\n{cand}",
+                            bench.name, inputs.packet_len
+                        )
+                    });
+                }
+                // Walk the stream through accepted candidates so it drifts
+                // away from the baseline, as a search chain does.
+                if step % 3 == 0 {
+                    current = proposal;
+                }
+            }
+        }
+    }
+    // Non-vacuous on both sides: the stream produces plenty of safe and
+    // unsafe candidates.
+    assert!(
+        checker.stats.safe >= 1_000,
+        "only {} accepted",
+        checker.stats.safe
+    );
+    assert!(
+        checker.stats.unsafe_found >= 1_000,
+        "only {} rejected",
+        checker.stats.unsafe_found
+    );
+    assert_eq!(runs, 4 * checker.stats.safe);
+}
+
+// ---------------------------------------------------------------------------
+// Must-reject corpus: unsafe probes with the verdict recorded verbatim when
+// the corpus was frozen; both checkers must reject each one with exactly
+// that error.
 // ---------------------------------------------------------------------------
 
 #[test]
 fn must_reject_corpus_matches_the_legacy_checker() {
-    // (label, program text, legacy checker verdict as recorded at the time
-    // the corpus was frozen). `Display` of `VerifierError`.
+    // (label, program text, checker verdict as recorded at the time the
+    // corpus was frozen). `Display` of `VerifierError`.
     let corpus: Vec<(&str, &str, &str)> = vec![
         (
             "read of never-written register",
@@ -288,35 +320,19 @@ fn must_reject_corpus_matches_the_legacy_checker() {
         ),
     ];
 
-    let mut legacy = SafetyChecker::new(SafetyConfig {
-        static_analysis: false,
-        ..SafetyConfig::default()
-    });
-    let mut screened = SafetyChecker::new(SafetyConfig::default());
+    let mut checker = SafetyChecker::new(SafetyConfig::default());
+    let kernel = LinuxVerifier::default();
     for (label, text, recorded) in corpus {
         let prog = Program::new(ProgramType::Xdp, asm::assemble(text).unwrap());
 
-        // The legacy walker still produces the recorded verdict.
-        let err = legacy
+        let err = checker
             .check(&prog)
-            .expect_err(&format!("{label}: legacy checker must reject"));
-        assert_eq!(err.to_string(), recorded, "{label}: legacy verdict drifted");
+            .expect_err(&format!("{label}: the safety checker must reject"));
+        assert_eq!(err.to_string(), recorded, "{label}: verdict drifted");
 
-        // The screened checker rejects with the identical error.
-        let screened_err = screened
-            .check(&prog)
-            .expect_err(&format!("{label}: screened checker must reject"));
-        assert_eq!(screened_err, err, "{label}: screen changed the error");
-
-        // And the screen itself (not the walker fallback) caught it.
-        let (outcome, _) = screen(&prog, &VerifierConfig::default(), 16_384);
-        match outcome {
-            ScreenOutcome::Reject(e) => {
-                assert_eq!(e, err, "{label}: screen error does not mirror the walker")
-            }
-            other => panic!("{label}: screen returned {other:?}, expected a rejection"),
+        match kernel.load(&prog).0 {
+            Verdict::Reject(e) => assert_eq!(e, err, "{label}: checkers disagree"),
+            Verdict::Accept => panic!("{label}: the kernel-checker model accepted"),
         }
     }
-    // Every corpus rejection above short-circuited the path walk.
-    assert_eq!(screened.stats.screens, screened.stats.screen_rejects);
 }
