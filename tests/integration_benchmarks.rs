@@ -81,3 +81,49 @@ fn benchmarks_store_results_in_their_maps() {
         assert!(touched, "{name} never updated its maps");
     }
 }
+
+/// FNV-1a over the wire encoding: a fingerprint that is stable across
+/// toolchains (unlike `DefaultHasher`).
+fn wire_fingerprint(prog: &bpf_isa::Program) -> u64 {
+    bpf_isa::wire::encode_bytes(&prog.insns)
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+#[test]
+fn best_baseline_is_pinned_for_every_suite_program() {
+    // `best_baseline` is K2's input in every table binary and in the
+    // repository benchmark, so any change to it moves every trajectory.
+    // Pinned: (name, real_len, fingerprint of the instructions).
+    const PINNED: &[(&str, usize, u64)] = &[
+        ("xdp_exception", 17, 0x34a1a85a2bc3f00c),
+        ("xdp_redirect_err", 17, 0x81433b86b716b690),
+        ("xdp_devmap_xmit", 36, 0x4d523589e534a37a),
+        ("xdp_cpumap_kthread", 17, 0x2fc4b90913460475),
+        ("xdp_cpumap_enqueue", 24, 0x30896543d928b067),
+        ("sys_enter_open", 17, 0x9d094a71a054ba2d),
+        ("socket/0", 23, 0x4d7afa2f8c445b12),
+        ("socket/1", 26, 0x0d34974e277249d9),
+        ("xdp_router_ipv4", 51, 0xd5c6eaeea5884553),
+        ("xdp_redirect", 26, 0x3f3782fc7226ef85),
+        ("xdp1_kern/xdp1", 34, 0x5722da07d30abd68),
+        ("xdp2_kern/xdp1", 58, 0x3bcf4486ae43e662),
+        ("xdp_fwd", 66, 0x8ceb3169ebb35cb7),
+        ("xdp_pktcntr", 17, 0x8212e805add8fe6f),
+        ("xdp_fw", 38, 0xfdbb6c712de2acb4),
+        ("xdp_map_access", 23, 0xbd23c702052c9032),
+        ("from-network", 26, 0x40132e3897a6cd94),
+        ("recvmsg4", 42, 0xda5f9c47776b3e73),
+        ("xdp-balancer", 102, 0x71c333c508f5e217),
+    ];
+    let actual: Vec<(&str, usize, u64)> = bpf_bench_suite::all()
+        .iter()
+        .map(|bench| {
+            let (_, best) = best_baseline(&bench.prog);
+            (bench.name, best.real_len(), wire_fingerprint(&best))
+        })
+        .collect();
+    assert_eq!(actual, PINNED);
+}
