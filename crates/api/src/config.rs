@@ -96,11 +96,13 @@ pub struct K2Config {
     /// CNF and learned clauses warm in a per-source solver context. A pure
     /// solver-work knob: results are bit-identical either way.
     pub incremental_sat: bool,
-    /// Abstract-interpretation facts about the source as window
-    /// preconditions for equivalence checking (`K2_STATIC_ANALYSIS`, file key
-    /// `static_analysis`). Safety checking always runs the abstract
-    /// interpreter. A pure solver-work knob: search trajectories are
-    /// bit-identical either way.
+    /// Assert the abstract interpreter's range/known-bits facts about the
+    /// source on the window entry registers that are neither a constant nor
+    /// a stack pointer (`K2_STATIC_ANALYSIS`, file key `static_analysis`).
+    /// Safety checking, the window constants and stack pointers and the
+    /// window's stack liveness run the abstract interpreter either way. A
+    /// pure solver-work knob: search trajectories are bit-identical either
+    /// way.
     pub static_analysis: bool,
     /// Engine knobs: epochs/sharing/convergence/budget/workers
     /// (`K2_EPOCHS`, `K2_SHARED_CACHE`, `K2_EXCHANGE_CEX`,

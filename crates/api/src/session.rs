@@ -281,9 +281,9 @@ impl K2SessionBuilder {
         self
     }
 
-    /// Override the abstract-interpretation window preconditions of the
-    /// equivalence checker. A pure solver-work knob: search trajectories are
-    /// bit-identical either way.
+    /// Override whether the equivalence checker asserts the abstract
+    /// interpreter's range facts as window preconditions. A pure
+    /// solver-work knob: search trajectories are bit-identical either way.
     pub fn static_analysis(mut self, enabled: bool) -> Self {
         self.static_analysis = Some(enabled);
         self

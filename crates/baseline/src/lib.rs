@@ -9,8 +9,9 @@
 //!
 //! Passes:
 //!
-//! * constant propagation and folding (via the [`bpf_analysis::types`]
-//!   abstract interpretation),
+//! * constant propagation and folding, with the constants read from the
+//!   facts of the abstract interpreter ([`bpf_analysis::absint`]); a program
+//!   the interpreter rejects gets no folding,
 //! * redundant-move elimination (`mov rX, rX`),
 //! * dead-code elimination and unreachable-code removal,
 //! * jump threading for `ja +0`-style no-op jumps.
@@ -22,7 +23,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use bpf_analysis::{canonicalize, AbsVal, Cfg, Types};
+use bpf_analysis::{analyze, canonicalize, AbsintConfig};
 use bpf_isa::{AluOp, Insn, Program, Src};
 
 /// Optimization level of the baseline compiler, mirroring the clang flags the
@@ -92,26 +93,22 @@ pub fn best_baseline(prog: &Program) -> (OptLevel, Program) {
 /// Replace ALU computations whose result is statically known by immediate
 /// moves, and immediate-operand rewrites where one operand is known.
 fn fold_constants(prog: &Program) -> Vec<Insn> {
-    let Ok(cfg) = Cfg::build(&prog.insns) else {
-        return prog.insns.clone();
-    };
-    let types = Types::analyze(&prog.insns, &cfg);
+    // A rejected program exports empty facts, so nothing is folded.
+    let facts = analyze(prog, &AbsintConfig::default()).facts;
+    let known = |idx: usize, r| facts.fact(idx, r).and_then(|f| f.as_const());
     let mut out = prog.insns.clone();
     for (idx, insn) in prog.insns.iter().enumerate() {
-        if !types.reachable[idx] {
-            continue;
-        }
         match *insn {
             Insn::Alu64 { op, dst, src } | Insn::Alu32 { op, dst, src } => {
                 let is64 = matches!(insn, Insn::Alu64 { .. });
-                let d = types.reg_before(idx, dst);
+                let d = known(idx, dst);
                 let s = match src {
-                    Src::Reg(r) => types.reg_before(idx, r),
-                    Src::Imm(i) => AbsVal::Const(i as i64 as u64),
+                    Src::Reg(r) => known(idx, r),
+                    Src::Imm(i) => Some(i as i64 as u64),
                 };
                 // Full fold: both operands known and the result fits a
                 // 32-bit immediate move.
-                if let (Some(a), Some(b)) = (d.as_const(), s.as_const()) {
+                if let (Some(a), Some(b)) = (d, s) {
                     if op != AluOp::Mov || !matches!(src, Src::Imm(_)) {
                         let result = if is64 {
                             op.eval64(a, b)
@@ -131,7 +128,7 @@ fn fold_constants(prog: &Program) -> Vec<Insn> {
                 }
                 // Operand fold: a register source with a known small value
                 // becomes an immediate operand (helps later passes).
-                if let (Src::Reg(_), Some(b)) = (src, s.as_const()) {
+                if let (Src::Reg(_), Some(b)) = (src, s) {
                     if op != AluOp::Mov
                         && (b as i64) >= i32::MIN as i64
                         && (b as i64) <= i32::MAX as i64

@@ -14,9 +14,10 @@
 //! tracked ranges fix its outcome (the kernel's `is_branch_taken`) and then
 //! explores only the feasible edge, so an error on a path no concrete
 //! execution can take does not reject the program. An accepting run also
-//! exports per-program-point constant/range **facts** through
-//! [`ProgramFacts`], which the equivalence checker assumes as window
-//! preconditions.
+//! exports per-program-point **facts** through [`ProgramFacts`]: each
+//! register's scalar range or pointer provenance, joined over all paths.
+//! They are the window preconditions and the stack liveness of the
+//! equivalence checker and the constants of the rule-based baseline.
 //!
 //! # Termination and budget
 //!
@@ -263,11 +264,14 @@ pub struct AbsintConfig {
     pub enforce_stack_alignment: bool,
 }
 
+/// The search's safety budget: `bpf_safety::SafetyConfig` defaults to it,
+/// and the equivalence checker's source analysis runs under it, so a source
+/// that passes the safety check always gets its facts.
 impl Default for AbsintConfig {
     fn default() -> Self {
         AbsintConfig {
             max_insns: 4096,
-            complexity_limit: 16_384,
+            complexity_limit: 100_000,
             enforce_stack_alignment: true,
         }
     }
@@ -585,29 +589,78 @@ impl AbsReg {
 // Facts exported to the equivalence checker
 // ---------------------------------------------------------------------------
 
+/// Pointer provenance of a register that every path reaching a program
+/// point agrees on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Provenance {
+    /// A stack pointer at this offset from `r10`, or at an unknown offset
+    /// (`None`) when paths disagree on it.
+    Stack(Option<i64>),
+    /// A pointer that never points into the stack: context, packet, packet
+    /// end or map value (possibly NULL).
+    NonStack,
+    /// A map handle loaded by `ld_map_fd`, with its map id.
+    MapHandle(u32),
+}
+
+impl Provenance {
+    /// The provenance of one path's register value. A lost pointer
+    /// (`ptr + unbounded scalar`) may have been a stack pointer, so it has
+    /// none; every dereference of it is rejected anyway.
+    fn of(reg: &AbsReg) -> Option<Provenance> {
+        match *reg {
+            AbsReg::PtrStack(o) => Some(Provenance::Stack(Some(o))),
+            AbsReg::PtrCtx(_)
+            | AbsReg::PtrPacket(Some(_))
+            | AbsReg::PtrPacketVar { .. }
+            | AbsReg::PtrPacketEnd
+            | AbsReg::PtrMapValueOrNull { .. }
+            | AbsReg::PtrMapValue { .. }
+            | AbsReg::PtrMapValueVar { .. } => Some(Provenance::NonStack),
+            AbsReg::MapHandle(m) => Some(Provenance::MapHandle(m)),
+            AbsReg::PtrPacket(None) | AbsReg::Uninit | AbsReg::Scalar(_) => None,
+        }
+    }
+
+    /// Join across paths; `None` when the paths hold different kinds.
+    fn join(self, other: Provenance) -> Option<Provenance> {
+        match (self, other) {
+            (Provenance::Stack(a), Provenance::Stack(b)) => {
+                Some(Provenance::Stack(if a == b { a } else { None }))
+            }
+            (a, b) if a == b => Some(a),
+            _ => None,
+        }
+    }
+}
+
 /// Per-register fact accumulation at one program point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FactCell {
     /// No state has reached this point yet.
     NotSeen,
     /// Every state so far held a scalar; the join (count tracks widening).
-    Fact(ScalarRange, u32),
-    /// At least one state held a non-scalar value — no scalar fact.
+    Scalar(ScalarRange, u32),
+    /// Every state so far held a pointer or map handle of this provenance.
+    Ptr(Provenance),
+    /// The states disagree on the kind of value, or one held no fact (an
+    /// uninitialized register, a lost pointer).
     Mixed,
 }
 
-/// Range/constant facts derived by a [`Verdict::Accept`] run. Facts
-/// over-approximate every concrete execution, so they are sound to assume
-/// as preconditions. A rejecting run exports empty facts (everything
-/// unknown).
+/// Per-program-point facts derived by a [`Verdict::Accept`] run: the
+/// scalar range or the pointer provenance of each register, joined over
+/// every path reaching the point. Facts over-approximate every concrete
+/// execution, so they are sound to assume as preconditions. A rejecting
+/// run exports empty facts (everything unknown).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProgramFacts {
-    /// Per-pc, per-register scalar fact *before* executing the instruction.
+    /// Per-pc, per-register fact *before* executing the instruction.
     cells: Vec<[FactCell; 11]>,
 }
 
 impl ProgramFacts {
-    /// Empty facts for a program of `len` instructions: no scalar facts.
+    /// Empty facts for a program of `len` instructions: nothing known.
     pub fn empty(len: usize) -> ProgramFacts {
         ProgramFacts {
             cells: vec![[FactCell::NotSeen; 11]; len],
@@ -618,7 +671,17 @@ impl ProgramFacts {
     /// every path reaching `pc` carries a scalar there.
     pub fn fact(&self, pc: usize, reg: Reg) -> Option<ScalarRange> {
         match self.cells.get(pc)?[reg.index()] {
-            FactCell::Fact(s, _) => Some(s),
+            FactCell::Scalar(s, _) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The pointer provenance of `reg` just before instruction `pc`, if
+    /// every path reaching `pc` carries a pointer or map handle of one kind
+    /// there.
+    pub fn provenance(&self, pc: usize, reg: Reg) -> Option<Provenance> {
+        match self.cells.get(pc)?[reg.index()] {
+            FactCell::Ptr(p) => Some(p),
             _ => None,
         }
     }
@@ -628,17 +691,22 @@ impl ProgramFacts {
         for (cell, reg) in row.iter_mut().zip(regs.iter()) {
             *cell = match (*cell, reg) {
                 (FactCell::Mixed, _) => FactCell::Mixed,
-                (FactCell::NotSeen, AbsReg::Scalar(s)) => FactCell::Fact(*s, 1),
-                (FactCell::NotSeen, _) => FactCell::Mixed,
-                (FactCell::Fact(prev, n), AbsReg::Scalar(s)) => {
+                (FactCell::NotSeen, AbsReg::Scalar(s)) => FactCell::Scalar(*s, 1),
+                (FactCell::NotSeen, _) => {
+                    Provenance::of(reg).map_or(FactCell::Mixed, FactCell::Ptr)
+                }
+                (FactCell::Scalar(prev, n), AbsReg::Scalar(s)) => {
                     let merged = if n >= WIDEN_AFTER {
                         prev.widen(s)
                     } else {
                         prev.join(s)
                     };
-                    FactCell::Fact(merged, n.saturating_add(1))
+                    FactCell::Scalar(merged, n.saturating_add(1))
                 }
-                (FactCell::Fact(..), _) => FactCell::Mixed,
+                (FactCell::Scalar(..), _) => FactCell::Mixed,
+                (FactCell::Ptr(p), _) => Provenance::of(reg)
+                    .and_then(|q| p.join(q))
+                    .map_or(FactCell::Mixed, FactCell::Ptr),
             };
         }
     }
@@ -2238,6 +2306,126 @@ mod tests {
         );
         // r2 is uninitialized at pc 0: no fact.
         assert_eq!(result.facts.fact(0, Reg::R2), None);
+    }
+
+    #[test]
+    fn same_stack_offset_on_two_paths_is_exact() {
+        let prog = xdp(r"
+            call get_prandom_u32
+            mov64 r6, r10
+            jeq r0, 0, +2
+            add64 r6, -8
+            ja +1
+            add64 r6, -8
+            mov64 r0, 0
+            exit
+        ");
+        let result = run(&prog);
+        assert!(result.verdict.is_accept());
+        assert_eq!(
+            result.facts.provenance(6, Reg::R6),
+            Some(Provenance::Stack(Some(-8)))
+        );
+        assert_eq!(result.facts.fact(6, Reg::R6), None);
+        assert_eq!(
+            result.facts.provenance(0, Reg::R10),
+            Some(Provenance::Stack(Some(0)))
+        );
+    }
+
+    #[test]
+    fn different_stack_offsets_lose_the_offset() {
+        // r6 is r10-8 on one path and r10-16 on the other: a stack pointer
+        // at an unknown offset, so a load through it keeps the whole frame
+        // live.
+        let prog = xdp(r"
+            call get_prandom_u32
+            stdw [r10-16], 0
+            stdw [r10-8], 0
+            mov64 r6, r10
+            add64 r6, -8
+            jeq r0, 0, +1
+            add64 r6, -8
+            ldxdw r0, [r6+0]
+            exit
+        ");
+        let result = run(&prog);
+        assert!(result.verdict.is_accept());
+        assert_eq!(
+            result.facts.provenance(7, Reg::R6),
+            Some(Provenance::Stack(None))
+        );
+        let cfg = Cfg::build(&prog.insns).unwrap();
+        let live =
+            crate::Liveness::new().analyze_with_facts(&prog.insns, &cfg, &result.facts, &prog.maps);
+        assert_eq!(live.stack_live_out[2].len(), 512);
+    }
+
+    #[test]
+    fn packet_and_map_value_pointers_are_non_stack() {
+        // r6 is a packet pointer, r0 a map value (or NULL) after the
+        // lookup, r1 the context and then a map handle; r7 joins a packet
+        // pointer and a map-value pointer, which is still not a stack
+        // pointer.
+        let prog = xdp_maps(
+            r"
+            ldxdw r6, [r1+0]
+            stw [r10-4], 0
+            ld_map_fd r1, 1
+            mov64 r2, r10
+            add64 r2, -4
+            call map_lookup_elem
+            mov64 r7, r6
+            jeq r0, 0, +1
+            mov64 r7, r0
+            mov64 r0, 0
+            exit
+        ",
+            vec![MapDef::array(1, 8, 4)],
+        );
+        let result = run(&prog);
+        assert!(result.verdict.is_accept());
+        let facts = &result.facts;
+        assert_eq!(facts.provenance(0, Reg::R1), Some(Provenance::NonStack));
+        assert_eq!(facts.provenance(1, Reg::R6), Some(Provenance::NonStack));
+        assert_eq!(facts.provenance(3, Reg::R1), Some(Provenance::MapHandle(1)));
+        assert_eq!(
+            facts.provenance(5, Reg::R2),
+            Some(Provenance::Stack(Some(-4)))
+        );
+        assert_eq!(facts.provenance(6, Reg::R0), Some(Provenance::NonStack));
+        assert_eq!(facts.provenance(8, Reg::R0), Some(Provenance::NonStack));
+        assert_eq!(facts.provenance(9, Reg::R7), Some(Provenance::NonStack));
+    }
+
+    #[test]
+    fn register_uninitialized_on_one_path_has_no_fact() {
+        let prog = xdp(r"
+            call get_prandom_u32
+            jeq r0, 0, +2
+            mov64 r6, r10
+            mov64 r7, 1
+            mov64 r0, 0
+            exit
+        ");
+        let result = run(&prog);
+        assert!(result.verdict.is_accept());
+        assert_eq!(
+            result.facts.provenance(3, Reg::R6),
+            Some(Provenance::Stack(Some(0)))
+        );
+        assert_eq!(result.facts.provenance(4, Reg::R6), None);
+        assert_eq!(result.facts.fact(4, Reg::R7), None);
+    }
+
+    #[test]
+    fn rejected_programs_export_no_provenance() {
+        let result = run(&xdp("mov64 r6, r10
+mov64 r0, r5
+exit"));
+        assert!(!result.verdict.is_accept());
+        assert_eq!(result.facts.provenance(1, Reg::R6), None);
+        assert_eq!(result.facts.provenance(0, Reg::R10), None);
     }
 
     #[test]

@@ -6,14 +6,10 @@
 //!
 //! * [`mod@cfg`] — control-flow graph over basic blocks, reachability,
 //!   topological order, back-edge (loop) detection, and dominators,
-//! * [`liveness`] — per-instruction live register sets and live stack slots,
-//!   used for dead-code elimination and for K2's window-based verification
-//!   pre/postconditions,
-//! * [`types`] — a forward abstract interpretation tracking, for every
-//!   program point, whether each register holds a scalar, a known constant,
-//!   or a pointer into a specific memory region at a statically known offset.
-//!   This is the engine behind the paper's *memory type / memory offset /
-//!   map concretization* optimizations (§5.I–III),
+//! * [`liveness`] — per-instruction live register sets, used for dead-code
+//!   elimination, and live stack bytes resolved through [`absint`]'s
+//!   provenance facts, used for K2's window-based verification
+//!   postconditions,
 //! * [`dce`] — nop stripping, unreachable-code removal, dead-code
 //!   elimination and program canonicalization (used by the equivalence-cache
 //!   and to clean up synthesized outputs),
@@ -22,8 +18,10 @@
 //! * [`absint`] — the kernel-conformant abstract interpreter combining
 //!   tnums, signed/unsigned value ranges and pointer provenance with
 //!   bounded offsets; the only safety engine (it decides every verdict of
-//!   `bpf-safety`) and the source of the window-precondition facts fed to
-//!   `bpf-equiv`.
+//!   `bpf-safety`) and the only per-program-point analysis: its
+//!   [`ProgramFacts`] (each register's range or pointer provenance) give
+//!   `bpf-equiv` its window preconditions and stack liveness (the paper's
+//!   §5.IV) and `k2-baseline` its constants.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,14 +31,12 @@ pub mod cfg;
 pub mod dce;
 pub mod liveness;
 pub mod tnum;
-pub mod types;
 
 pub use absint::{
-    analyze, AbsReg, AbsintConfig, AbsintResult, AbsintStats, ProgramFacts, ScalarRange, Verdict,
-    VerifierError,
+    analyze, AbsReg, AbsintConfig, AbsintResult, AbsintStats, ProgramFacts, Provenance,
+    ScalarRange, Verdict, VerifierError,
 };
 pub use cfg::{BasicBlock, Cfg, CfgError};
 pub use dce::{canonicalize, dead_code_elim, strip_nops};
 pub use liveness::{LiveMap, Liveness, RegSet};
 pub use tnum::Tnum;
-pub use types::{AbsVal, MemRegion, TypeState, Types};

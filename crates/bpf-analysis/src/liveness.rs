@@ -6,8 +6,8 @@
 //! out of the window", §5.IV), and the proposal generator's knowledge of
 //! which registers are safe to overwrite.
 
+use crate::absint::{ProgramFacts, Provenance};
 use crate::cfg::Cfg;
-use crate::types::{AbsVal, MemRegion, Types};
 use bpf_isa::{HelperId, Insn, MapDef, MemSize, Reg, STACK_SIZE};
 
 /// A small bit-set of registers.
@@ -75,9 +75,12 @@ pub struct LiveMap {
     /// `live_out[i]` — registers live immediately after instruction `i`.
     pub live_out: Vec<RegSet>,
     /// Stack byte offsets (relative to `r10`, so negative) that may be read
-    /// after instruction `i` executes. Conservative: helper calls and loads
-    /// through unresolved pointers make every frame byte live. Only
-    /// populated by [`Liveness::analyze_with_types`] — the plain
+    /// after instruction `i` executes. Loads and helper arguments are
+    /// resolved through the abstract interpreter's provenance facts; a
+    /// helper call whose reads they cannot bound and a load through a
+    /// pointer they do not resolve (every one, in a program the interpreter
+    /// rejects) make every frame byte live. Only populated by
+    /// [`Liveness::analyze_with_facts`] — the plain
     /// [`Liveness::analyze`] leaves these sets empty, because its only
     /// consumers (dead-code elimination, the proposal generator) read
     /// register liveness and the stack fixpoint is too expensive for the
@@ -106,29 +109,31 @@ impl Liveness {
     /// stack-byte liveness needs pointer provenance to be both sound and
     /// precise, and its whole-frame conservative sets are too expensive to
     /// drag through the per-candidate canonicalization hot path — use
-    /// [`Liveness::analyze_with_types`] (window verification does) when the
+    /// [`Liveness::analyze_with_facts`] (window verification does) when the
     /// stack sets are actually needed.
     pub fn analyze(&self, insns: &[Insn], cfg: &Cfg) -> LiveMap {
         self.run(insns, cfg, None)
     }
 
-    /// [`Liveness::analyze`] with a [`Types`] analysis of the same program
-    /// and its map definitions: loads whose base pointer is statically known
-    /// *not* to point into the stack no longer make the frame live,
-    /// stack-pointer loads at a known offset make only their bytes live, and
-    /// helper calls with fully-resolved map arguments pin down exactly the
-    /// key/value bytes the helper reads instead of the whole frame.
-    pub fn analyze_with_types(
+    /// [`Liveness::analyze`] plus stack-byte liveness, with the abstract
+    /// interpreter's [`ProgramFacts`] for the same program and its map
+    /// definitions: loads whose base pointer is provably *not* a stack
+    /// pointer no longer make the frame live, stack-pointer loads at a known
+    /// offset make only their bytes live, and helper calls with
+    /// fully-resolved map arguments pin down exactly the key/value bytes the
+    /// helper reads instead of the whole frame. Empty facts (a rejected
+    /// program) give the whole-frame fallbacks.
+    pub fn analyze_with_facts(
         &self,
         insns: &[Insn],
         cfg: &Cfg,
-        types: &Types,
+        facts: &ProgramFacts,
         maps: &[MapDef],
     ) -> LiveMap {
-        self.run(insns, cfg, Some((types, maps)))
+        self.run(insns, cfg, Some((facts, maps)))
     }
 
-    fn run(&self, insns: &[Insn], cfg: &Cfg, types: Option<(&Types, &[MapDef])>) -> LiveMap {
+    fn run(&self, insns: &[Insn], cfg: &Cfg, facts: Option<(&ProgramFacts, &[MapDef])>) -> LiveMap {
         let n = insns.len();
         let mut live_in = vec![RegSet::EMPTY; n];
         let mut live_out = vec![RegSet::EMPTY; n];
@@ -175,8 +180,8 @@ impl Liveness {
             }
         }
 
-        let stack_live_out = match types {
-            Some((t, m)) => self.stack_liveness(insns, cfg, t, m),
+        let stack_live_out = match facts {
+            Some((f, m)) => self.stack_liveness(insns, cfg, f, m),
             None => vec![Vec::new(); n],
         };
         LiveMap {
@@ -193,7 +198,7 @@ impl Liveness {
         &self,
         insns: &[Insn],
         cfg: &Cfg,
-        types: &Types,
+        facts: &ProgramFacts,
         maps: &[MapDef],
     ) -> Vec<Vec<i16>> {
         let n = insns.len();
@@ -259,11 +264,11 @@ impl Liveness {
                         // whole frame is live. (Regression: this arm used to
                         // be an empty no-op, which let window verification
                         // treat helper-read key bytes as dead and accept
-                        // rewrites that corrupt them.) With type and map-def
-                        // information the known helper signatures pin down
-                        // the exact bytes read.
+                        // rewrites that corrupt them.) With provenance facts
+                        // and map definitions the known helper signatures
+                        // pin down the exact bytes read.
                         Insn::Call { helper } => {
-                            match call_stack_reads(*helper, idx, types, maps) {
+                            match call_stack_reads(*helper, idx, facts, maps) {
                                 Some(reads) => {
                                     for (off, len) in reads {
                                         for b in 0..len {
@@ -279,26 +284,29 @@ impl Liveness {
                         }
                         // A load or atomic through a non-r10 base (the r10
                         // cases matched above) may alias the stack via a
-                        // copied pointer. With type information the base's
-                        // provenance decides; without it, or when the
-                        // pointer is a stack pointer at an unknown offset,
-                        // the whole frame is live.
-                        Insn::Load { size, .. } | Insn::AtomicAdd { size, .. } => {
-                            match types.mem_access(idx, insn) {
-                                Some((MemRegion::Stack, Some(o))) => {
-                                    if let Ok(off) = i16::try_from(o) {
-                                        push_bytes(&mut inn, off, *size);
-                                    } else {
-                                        inn = whole_frame();
-                                    }
-                                }
-                                Some((MemRegion::Stack, None)) | None => {
-                                    inn = whole_frame();
-                                }
-                                // Provably not a stack access.
-                                Some((_, _)) => {}
-                            }
+                        // copied pointer. The base's provenance fact decides;
+                        // without one, or when the pointer is a stack
+                        // pointer at an unknown offset, the whole frame is
+                        // live.
+                        Insn::Load {
+                            size, base, off, ..
                         }
+                        | Insn::AtomicAdd {
+                            size, base, off, ..
+                        } => match facts.provenance(idx, *base) {
+                            Some(Provenance::Stack(Some(o))) => {
+                                match o
+                                    .checked_add(i64::from(*off))
+                                    .and_then(|at| i16::try_from(at).ok())
+                                {
+                                    Some(at) => push_bytes(&mut inn, at, *size),
+                                    None => inn = whole_frame(),
+                                }
+                            }
+                            // Provably not a stack access.
+                            Some(Provenance::NonStack) => {}
+                            _ => inn = whole_frame(),
+                        },
                         _ => {}
                     }
                     inn.sort_unstable();
@@ -332,24 +340,23 @@ fn whole_frame() -> Vec<i16> {
 fn call_stack_reads(
     helper: HelperId,
     idx: usize,
-    types: &Types,
+    facts: &ProgramFacts,
     maps: &[MapDef],
 ) -> Option<Vec<(i16, u32)>> {
-    // A pointer argument resolved to a concrete region/offset; scalars and
-    // unknowns make the call unboundable.
+    // A pointer argument resolved to a concrete stack offset, or provably
+    // outside the stack; scalars and unknowns make the call unboundable.
     let ptr_arg = |reg: Reg| -> Option<Option<i16>> {
-        match types.reg_before(idx, reg) {
-            AbsVal::Ptr {
-                region: MemRegion::Stack,
-                offset: Some(o),
-            } => i16::try_from(o).ok().map(Some),
+        match facts.provenance(idx, reg)? {
+            Provenance::Stack(Some(o)) => i16::try_from(o).ok().map(Some),
             // A pointer provably outside the stack: no stack bytes read.
-            AbsVal::Ptr { region, .. } if region != MemRegion::Stack => Some(None),
-            _ => None,
+            Provenance::NonStack => Some(None),
+            Provenance::Stack(None) | Provenance::MapHandle(_) => None,
         }
     };
     let map_def = || -> Option<&MapDef> {
-        let id = types.map_id_at_call(idx)?;
+        let Some(Provenance::MapHandle(id)) = facts.provenance(idx, Reg::R1) else {
+            return None;
+        };
         maps.iter().find(|def| def.id.0 == id)
     };
     match helper {
@@ -400,7 +407,8 @@ fn push_bytes(out: &mut Vec<i16>, off: i16, size: MemSize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bpf_isa::asm;
+    use crate::absint::AbsintConfig;
+    use bpf_isa::{asm, Program, ProgramType};
 
     fn analyze(text: &str) -> (Vec<Insn>, LiveMap) {
         let insns = asm::assemble(text).unwrap();
@@ -409,13 +417,18 @@ mod tests {
         (insns, live)
     }
 
-    /// Analysis including stack-byte liveness (which needs type info).
+    /// Analysis including stack-byte liveness, over the abstract
+    /// interpreter's facts for the program (as XDP, with `maps`).
+    fn analyze_stack_with(text: &str, maps: Vec<MapDef>) -> (Vec<Insn>, LiveMap) {
+        let prog = Program::with_maps(ProgramType::Xdp, asm::assemble(text).unwrap(), maps);
+        let cfg = Cfg::build(&prog.insns).unwrap();
+        let facts = crate::absint::analyze(&prog, &AbsintConfig::default()).facts;
+        let live = Liveness::new().analyze_with_facts(&prog.insns, &cfg, &facts, &prog.maps);
+        (prog.insns, live)
+    }
+
     fn analyze_stack(text: &str) -> (Vec<Insn>, LiveMap) {
-        let insns = asm::assemble(text).unwrap();
-        let cfg = Cfg::build(&insns).unwrap();
-        let types = crate::Types::analyze(&insns, &cfg);
-        let live = Liveness::new().analyze_with_types(&insns, &cfg, &types, &[]);
-        (insns, live)
+        analyze_stack_with(text, Vec::new())
     }
 
     #[test]
@@ -518,9 +531,10 @@ mod tests {
         // Regression: the Call arm used to be an empty no-op, so the map key
         // at [r10-4] (passed to the helper through the r2 pointer) was
         // reported dead — which let window verification accept rewrites that
-        // corrupt helper-read stack bytes. (The map id is not statically
-        // known here, so the call cannot be bounded by a signature and the
-        // whole frame must stay live.)
+        // corrupt helper-read stack bytes. (r1 holds the context, not a map,
+        // so the abstract interpreter rejects the program and exports no
+        // facts: the call cannot be bounded by a signature and the whole
+        // frame must stay live.)
         let text = r"
             mov64 r7, 1
             stxw [r10-4], r7
@@ -530,10 +544,8 @@ mod tests {
             mov64 r0, 0
             exit
         ";
-        let insns = asm::assemble(text).unwrap();
+        let (insns, live) = analyze_stack(text);
         let cfg = Cfg::build(&insns).unwrap();
-        let types = crate::Types::analyze(&insns, &cfg);
-        let live = Liveness::new().analyze_with_types(&insns, &cfg, &types, &[]);
         // The key bytes are live out of the store: a helper may read them.
         for b in [-4i16, -3, -2, -1] {
             assert!(
@@ -550,6 +562,26 @@ mod tests {
     }
 
     #[test]
+    fn resolved_map_calls_keep_only_their_key_bytes_live() {
+        // With the map handle in r1 and the key pointer in r2 resolved by
+        // the provenance facts, the lookup reads exactly the 4 key bytes:
+        // the other stored slot is dead before the call.
+        let text = r"
+            stw [r10-4], 1
+            stdw [r10-16], 2
+            ld_map_fd r1, 1
+            mov64 r2, r10
+            add64 r2, -4
+            call map_lookup_elem
+            mov64 r0, 0
+            exit
+        ";
+        let (_, live) = analyze_stack_with(text, vec![MapDef::array(1, 8, 4)]);
+        assert_eq!(live.stack_live_out[1], vec![-4, -3, -2, -1]);
+        assert!(live.stack_live_out[5].is_empty());
+    }
+
+    #[test]
     fn pointer_loads_make_their_stack_bytes_live() {
         // A load through a non-r10 base may alias the stack via a copied
         // pointer; the stack pointer's concrete offset makes exactly the
@@ -560,12 +592,9 @@ mod tests {
             ldxdw r0, [r6-8]
             exit
         ";
-        let insns = asm::assemble(text).unwrap();
-        let cfg = Cfg::build(&insns).unwrap();
-        let types = crate::Types::analyze(&insns, &cfg);
-        let typed = Liveness::new().analyze_with_types(&insns, &cfg, &types, &[]);
-        assert!(typed.stack_live_out[0].contains(&-8));
-        assert!(!typed.stack_live_out[0].contains(&-16));
+        let (_, live) = analyze_stack(text);
+        assert!(live.stack_live_out[0].contains(&-8));
+        assert!(!live.stack_live_out[0].contains(&-16));
 
         let ctx_text = r"
             stdw [r10-8], 7
@@ -573,10 +602,7 @@ mod tests {
             ldxdw r0, [r10-8]
             exit
         ";
-        let ctx_insns = asm::assemble(ctx_text).unwrap();
-        let ctx_cfg = Cfg::build(&ctx_insns).unwrap();
-        let ctx_types = crate::Types::analyze(&ctx_insns, &ctx_cfg);
-        let ctx_live = Liveness::new().analyze_with_types(&ctx_insns, &ctx_cfg, &ctx_types, &[]);
+        let (_, ctx_live) = analyze_stack(ctx_text);
         // The ctx load (r1 is the context pointer) does not touch the stack;
         // [r10-8] is live only because of the later r10 load.
         assert_eq!(

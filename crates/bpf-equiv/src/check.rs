@@ -41,16 +41,16 @@ pub struct EquivOptions {
     /// is re-derived by the cold path so counterexample models — and
     /// therefore search trajectories — stay bit-identical with it on or off.
     pub incremental_solving: bool,
-    /// Use the kernel-conformant abstract interpreter
-    /// ([`bpf_analysis::absint`]) as a solver-pruning oracle: when the
-    /// analysis accepts the source program, range/known-bits facts at a
-    /// window's entry strengthen the windowed check's precondition,
-    /// converting window fallbacks into window hits (full-program queries
-    /// can only decrease). A window hit only replaces a full check that
-    /// would have proven equivalence, so search trajectories are
-    /// bit-identical with the knob on or off. The `K2_STATIC_ANALYSIS`
-    /// environment override is resolved by the `k2::api` configuration
-    /// layering.
+    /// Assert the abstract interpreter's ([`bpf_analysis::absint`])
+    /// range/known-bits facts on the window entry registers that are
+    /// neither a known constant nor an exact stack pointer, converting
+    /// window fallbacks into window hits (full-program queries can only
+    /// decrease). The constants, the stack pointers and the stack liveness
+    /// come from the same analysis whether the knob is on or off. A window
+    /// hit only replaces a full check that would have proven equivalence,
+    /// so search trajectories are bit-identical with the knob on or off.
+    /// The `K2_STATIC_ANALYSIS` environment override is resolved by the
+    /// `k2::api` configuration layering.
     pub static_analysis: bool,
 }
 
@@ -218,8 +218,8 @@ fn outcome_of_error(e: EncodeError) -> EquivOutcome {
 }
 
 /// Fingerprint of a source program's instructions, used to key the
-/// per-source caches (window analysis, incremental-solver context, absint
-/// facts) so each is rebuilt exactly when the source changes.
+/// per-source caches (window analysis, incremental-solver context) so each
+/// is rebuilt exactly when the source changes.
 fn fingerprint_of(insns: &[bpf_isa::Insn]) -> u64 {
     use std::hash::{Hash, Hasher};
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
@@ -245,9 +245,10 @@ pub struct EquivChecker {
     cache: EquivCache,
     shared: Option<Arc<EquivCache>>,
     /// Lazily computed static analysis of the source program for window
-    /// verification, keyed by a fingerprint of the source instructions.
-    /// `None` = not computed yet; `Some((_, None))` = that source has no CFG
-    /// and windows never apply. Unlike the verdict cache — which simply
+    /// verification (one abstract-interpreter run and the liveness over its
+    /// facts), keyed by a fingerprint of the source instructions. `None` =
+    /// not computed yet; `Some((_, None))` = that source has no CFG and
+    /// windows never apply. Unlike the verdict cache — which simply
     /// documents its single-source assumption — a stale analysis here could
     /// panic or misprove a window, so the fingerprint is checked on every
     /// use and the context rebuilt when the source changes.
@@ -263,11 +264,6 @@ pub struct EquivChecker {
     /// source yields identical terms and zero new CNF — and the warm SAT
     /// solver with its learned clauses.
     inc_ctx: Option<IncrementalCtx>,
-    /// Lazily computed abstract-interpretation facts for the source program
-    /// (fingerprint-checked like `window_ctx`). `Some((_, None))` = the
-    /// analysis did not accept that source, so no facts apply. Only
-    /// consulted when [`EquivOptions::static_analysis`] is on.
-    facts_ctx: Option<(u64, Option<Arc<bpf_analysis::ProgramFacts>>)>,
     /// Statistics accumulated across `check` calls.
     pub stats: EquivStats,
     telemetry: TelemetryRef,
@@ -290,7 +286,6 @@ impl EquivChecker {
             window_ctx: None,
             refuter: None,
             inc_ctx: None,
-            facts_ctx: None,
             stats: EquivStats::default(),
             telemetry: TelemetryRef::none(),
         }
@@ -541,7 +536,6 @@ impl EquivChecker {
         if !matches!(&self.window_ctx, Some((fp, _)) if *fp == fingerprint) {
             self.window_ctx = Some((fingerprint, WindowContext::new(src)));
         }
-        let facts = self.source_facts(src);
         let ctx = self
             .window_ctx
             .as_ref()
@@ -554,7 +548,7 @@ impl EquivChecker {
             window,
             &cand.insns[window.start..window.end],
             &self.options.encode_options(),
-            facts.as_deref(),
+            self.options.static_analysis,
         );
         self.stats.static_window_facts += fact_constraints;
         self.stats.window_time_us += us;
@@ -573,25 +567,6 @@ impl EquivChecker {
                 None
             }
         }
-    }
-
-    /// Abstract-interpretation facts for the source program, computed once
-    /// per source (fingerprint-checked) and only when
-    /// [`EquivOptions::static_analysis`] is on. `None` when the knob is off
-    /// or the analysis did not accept the source — facts from a
-    /// non-accepting run would not be sound to assume.
-    fn source_facts(&mut self, src: &Program) -> Option<Arc<bpf_analysis::ProgramFacts>> {
-        if !self.options.static_analysis {
-            return None;
-        }
-        let fingerprint = fingerprint_of(&src.insns);
-        if !matches!(&self.facts_ctx, Some((fp, _)) if *fp == fingerprint) {
-            let result = bpf_analysis::analyze(src, &bpf_analysis::AbsintConfig::default());
-            let facts = matches!(result.verdict, bpf_analysis::Verdict::Accept)
-                .then(|| Arc::new(result.facts));
-            self.facts_ctx = Some((fingerprint, facts));
-        }
-        self.facts_ctx.as_ref().expect("just ensured").1.clone()
     }
 
     fn cached_outcome(verdict: CachedVerdict) -> EquivOutcome {
@@ -1200,9 +1175,9 @@ mod tests {
 
     #[test]
     fn window_facts_convert_fallbacks_into_hits() {
-        // The window entry register r6 is unknown to the type analysis (it
-        // comes from a helper), but the abstract interpreter bounds it to
-        // [0, 7]; under that fact the rewrite `r6 >>= 3` -> `r6 = 0` is
+        // The window entry register r6 is no constant (it comes from a
+        // helper), but the abstract interpreter bounds it to [0, 7]; with
+        // that range asserted the rewrite `r6 >>= 3` -> `r6 = 0` is
         // window-provable, so the full-program solver query disappears.
         let src =
             xdp("call get_prandom_u32\nmov64 r6, r0\nand64 r6, 7\nrsh64 r6, 3\nmov64 r0, r6\nexit");
@@ -1228,6 +1203,46 @@ mod tests {
         assert_eq!(without.stats.window_fallbacks, 1);
         assert_eq!(without.stats.queries, 1, "fallback pays a full query");
         assert_eq!(without.stats.static_window_facts, 0);
+    }
+
+    #[test]
+    fn branch_heavy_sources_within_the_safety_budget_keep_window_facts() {
+        // 12 branches on an unknown value, each skipping a distinct add:
+        // 4,096 paths and 28,674 examined instructions, more than a 16,384
+        // budget allows but within the safety checker's 100,000. The source
+        // analysis runs under the safety budget, so a source that passes the
+        // safety check keeps its facts: r3 == 4 enters the window as a
+        // constant and `r1 *= r3` -> `r1 <<= 2` proves window-locally.
+        let mut text =
+            String::from("mov64 r6, 0\ncall get_prandom_u32\nmov64 r7, r0\ncall get_prandom_u32\n");
+        for i in 0..12u64 {
+            text.push_str(&format!("jeq r0, r7, +1\nadd64 r6, {}\n", 1u64 << i));
+        }
+        text.push_str("mov64 r3, 4\nmov64 r1, r6\nmul64 r1, r3\nmov64 r0, r1\nexit");
+        let src = xdp(&text);
+        let small = bpf_analysis::AbsintConfig {
+            complexity_limit: 16_384,
+            ..bpf_analysis::AbsintConfig::default()
+        };
+        assert!(!bpf_analysis::analyze(&src, &small).verdict.is_accept());
+        let full = bpf_analysis::analyze(&src, &bpf_analysis::AbsintConfig::default());
+        assert!(full.verdict.is_accept());
+        assert_eq!(full.stats.insns_examined, 28_674);
+
+        let at = src.insns.len() - 3;
+        let mut cand = src.clone();
+        cand.insns[at] = asm::assemble("lsh64 r1, 2").unwrap()[0];
+        let mut checker = EquivChecker::new(EquivOptions {
+            static_analysis: false,
+            ..EquivOptions::default()
+        });
+        let region = Some(Window {
+            start: at,
+            end: at + 1,
+        });
+        assert!(checker.check_in_window(&src, &cand, region).is_equivalent());
+        assert_eq!(checker.stats.window_hits, 1);
+        assert_eq!(checker.stats.queries, 0);
     }
 
     #[test]

@@ -1143,7 +1143,7 @@ impl<'p> Encoder<'p> {
             } => {
                 let value = self.encode_load(state, tag, base, off, size)?;
                 // Track the packet data / data_end pointers coming out of the
-                // context, as the interpreter and type analysis do.
+                // context, as the interpreter and the abstract interpreter do.
                 let new_prov = match state.prov[base.index()] {
                     Prov::Ctx(Some(c)) if size == MemSize::Dword => match c + off as i64 {
                         0 | 16 => Prov::Packet(Some(0)),

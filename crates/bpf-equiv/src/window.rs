@@ -4,15 +4,15 @@
 //! Instead of checking two whole programs, K2 checks that a *window* (a
 //! straight-line run of instructions inside one basic block) of the candidate
 //! is equivalent to the corresponding window of the source program, under
-//! stronger preconditions (registers known to hold specific constants before
-//! the window, inferred by static analysis of the full program) and a weaker
-//! postcondition (only registers *live out* of the window, plus memory
-//! effects, must agree).
+//! stronger preconditions (registers known to hold specific constants or
+//! stack addresses before the window, inferred by the abstract interpreter
+//! over the full program) and a weaker postcondition (only registers and
+//! stack bytes *live out* of the window, plus memory effects, must agree).
 
 use crate::check::EquivOutcome;
 use crate::encode::{EncodeOptions, Encoder, STACK_TOP};
 use bitsmt::{CheckResult, Solver, TermId, TermPool};
-use bpf_analysis::{AbsVal, Cfg, LiveMap, Liveness, MemRegion, ProgramFacts, Types};
+use bpf_analysis::{analyze, AbsintConfig, Cfg, LiveMap, Liveness, ProgramFacts, Provenance};
 use bpf_isa::{Insn, Program, Reg, NUM_REGS};
 use std::time::Instant;
 
@@ -41,29 +41,33 @@ impl Window {
 /// Precomputed static analysis of one source program, reusable across many
 /// [`check_window_with`] calls against the same source.
 ///
-/// Window verification derives its precondition (register constants entering
-/// the window) from [`Types`] and its postcondition (registers and stack
-/// bytes live out of the window) from [`Liveness`] — both are whole-program
-/// analyses that do not depend on the window, so a checker bound to one
-/// source program computes them once instead of per proposal.
+/// Window verification derives its precondition (register values entering
+/// the window) from the abstract interpreter's [`ProgramFacts`] and its
+/// postcondition (registers and stack bytes live out of the window) from
+/// [`Liveness`] over those facts — whole-program analyses that do not depend
+/// on the window, so a checker bound to one source program runs them once
+/// instead of per proposal.
 #[derive(Debug, Clone)]
 pub struct WindowContext {
-    types: Types,
+    facts: ProgramFacts,
     live: LiveMap,
 }
 
 impl WindowContext {
-    /// Analyze a source program. Returns `None` when no CFG can be built
+    /// Analyze a source program under the safety checker's budget
+    /// ([`AbsintConfig::default`]). Returns `None` when no CFG can be built
     /// (malformed control flow), in which case window verification does not
-    /// apply and callers should use the full check.
+    /// apply and callers should use the full check. A source the abstract
+    /// interpreter rejects gets empty facts: no preconditions, and
+    /// whole-frame stack liveness at every call and pointer load.
     pub fn new(src: &Program) -> Option<WindowContext> {
         let cfg = Cfg::build(&src.insns).ok()?;
-        let types = Types::analyze(&src.insns, &cfg);
-        // Type-sharpened liveness: loads through pointers provably outside
-        // the stack do not make the frame live, while helper calls and
-        // unknown pointer loads conservatively keep every byte live.
-        let live = Liveness::new().analyze_with_types(&src.insns, &cfg, &types, &src.maps);
-        Some(WindowContext { types, live })
+        let facts = analyze(src, &AbsintConfig::default()).facts;
+        // Provenance-sharpened liveness: loads through pointers provably
+        // outside the stack do not make the frame live, while helper calls
+        // and unknown pointer loads conservatively keep every byte live.
+        let live = Liveness::new().analyze_with_facts(&src.insns, &cfg, &facts, &src.maps);
+        Some(WindowContext { facts, live })
     }
 }
 
@@ -76,8 +80,9 @@ impl WindowContext {
 /// empty window with an empty replacement is a no-op rewrite and
 /// short-circuits to `Equivalent` without touching the solver.
 ///
-/// This convenience wrapper analyzes `src` on every call; the search hot
-/// path builds a [`WindowContext`] once and uses [`check_window_with`].
+/// This convenience wrapper analyzes `src` on every call and asserts the
+/// range facts; the search hot path builds a [`WindowContext`] once and uses
+/// [`check_window_with`].
 pub fn check_window(
     src: &Program,
     window: Window,
@@ -87,7 +92,7 @@ pub fn check_window(
     let start_time = Instant::now();
     match WindowContext::new(src) {
         Some(ctx) => {
-            let (outcome, _, _) = check_window_with(&ctx, src, window, replacement, options, None);
+            let (outcome, _, _) = check_window_with(&ctx, src, window, replacement, options, true);
             (outcome, start_time.elapsed().as_micros() as u64)
         }
         None => (
@@ -98,30 +103,29 @@ pub fn check_window(
 }
 
 /// [`check_window`] with a precomputed [`WindowContext`] for the source
-/// program (which must be the program the context was built from), and
-/// optionally with abstract-interpretation facts for that same source.
+/// program (which must be the program the context was built from).
 ///
-/// When `facts` are given, registers whose entry value the type analysis
-/// could not pin to a constant are additionally constrained to the
-/// range/known-bits fact the abstract interpreter derived for the window's
-/// entry point. The facts hold on *every* concrete execution reaching the
-/// window (they are a join over all paths), so the strengthened precondition
-/// still over-approximates reality: an `Equivalent` verdict remains sound for
-/// the whole program, while some rewrites that are only correct under the
-/// derived ranges become provable. Extra constraints can only turn a
-/// window-local SAT ("fall back to the full check") into UNSAT
-/// ("equivalent"), never the reverse — so full-program solver queries can
-/// only decrease.
+/// Entry registers with a constant fact become that constant, and entry
+/// registers with an exact stack-pointer fact become that stack address.
+/// With `range_facts`, every other entry register is additionally
+/// constrained to the range/known-bits fact for the window's entry point.
+/// The facts hold on *every* concrete execution reaching the window (they
+/// are a join over all paths), so the precondition still over-approximates
+/// reality: an `Equivalent` verdict remains sound for the whole program,
+/// while some rewrites that are only correct under the derived ranges
+/// become provable. Extra constraints can only turn a window-local SAT
+/// ("fall back to the full check") into UNSAT ("equivalent"), never the
+/// reverse — so full-program solver queries can only decrease.
 ///
 /// Returns the outcome, the wall-clock microseconds spent, and the number of
-/// fact constraints asserted.
+/// range constraints asserted.
 pub fn check_window_with(
     ctx: &WindowContext,
     src: &Program,
     window: Window,
     replacement: &[Insn],
     options: &EncodeOptions,
-    facts: Option<&ProgramFacts>,
+    range_facts: bool,
 ) -> (EquivOutcome, u64, u64) {
     let start_time = Instant::now();
     let elapsed = |t: Instant| t.elapsed().as_micros() as u64;
@@ -155,10 +159,10 @@ pub fn check_window_with(
         );
     }
 
-    // Static analysis of the full source program: concrete register values
-    // entering the window (stronger precondition) and registers live out of
-    // the window (weaker postcondition).
-    let types = &ctx.types;
+    // Static analysis of the full source program: register values entering
+    // the window (stronger precondition) and registers live out of the
+    // window (weaker postcondition).
+    let facts = &ctx.facts;
     let live = &ctx.live;
     let live_out: Vec<Reg> = if window.end < src.insns.len() {
         live.live_in[window.end].iter().collect()
@@ -171,38 +175,30 @@ pub fn check_window_with(
     let mut pool = TermPool::new();
     let mut encoder = Encoder::new(&mut pool, *options);
 
-    // Shared register state entering both windows. Registers with statically
-    // known constants become those constants (precondition); the frame
-    // pointer becomes its concrete value so stack offsets concretize; other
-    // registers are free shared variables.
+    // Shared register state entering both windows. Registers with known
+    // constants become those constants and stack pointers at a known offset
+    // become that address (precondition); the frame pointer becomes its
+    // concrete value so stack offsets concretize; other registers are free
+    // shared variables.
     let mut start_regs: [TermId; NUM_REGS] = [encoder.packet_len; NUM_REGS];
     let mut prov_hints: [Option<i64>; NUM_REGS] = [None; NUM_REGS];
     let mut free_reg = [false; NUM_REGS];
     for r in Reg::ALL {
-        let abs = if types.reachable[window.start] {
-            types.reg_before(window.start, r)
-        } else {
-            AbsVal::Unknown
+        let constant = facts.fact(window.start, r).and_then(|f| f.as_const());
+        let stack_offset = match (r, facts.provenance(window.start, r)) {
+            (Reg::R10, _) => Some(0),
+            (_, Some(Provenance::Stack(Some(o)))) => Some(o),
+            _ => None,
         };
-        let term = match (r, abs) {
-            (Reg::R10, _) => {
-                prov_hints[r.index()] = Some(0);
-                encoder.pool().constant(STACK_TOP, 64)
-            }
-            (_, AbsVal::Const(c)) => encoder.pool().constant(c, 64),
-            (
-                _,
-                AbsVal::Ptr {
-                    region: MemRegion::Stack,
-                    offset: Some(o),
-                },
-            ) => {
+        let term = match (constant, stack_offset) {
+            (_, Some(o)) => {
                 prov_hints[r.index()] = Some(o);
                 encoder
                     .pool()
                     .constant(STACK_TOP.wrapping_add(o as u64), 64)
             }
-            _ => {
+            (Some(c), None) => encoder.pool().constant(c, 64),
+            (None, None) => {
                 free_reg[r.index()] = true;
                 encoder.pool().var(format!("win_in_r{}", r.index()), 64)
             }
@@ -210,12 +206,12 @@ pub fn check_window_with(
         start_regs[r.index()] = term;
     }
 
-    // Strengthen the precondition with abstract-interpretation facts: a free
-    // entry register whose value the abstract interpreter bounded at the
-    // window's entry point gets its range and known bits asserted. Sound
-    // because the facts are a join over every path reaching `window.start`.
+    // Strengthen the precondition with range facts: a free entry register
+    // whose value the abstract interpreter bounded at the window's entry
+    // point gets its range and known bits asserted. Sound because the facts
+    // are a join over every path reaching `window.start`.
     let mut fact_constraints = 0u64;
-    if let Some(facts) = facts {
+    if range_facts {
         for r in Reg::ALL {
             if !free_reg[r.index()] {
                 continue;
@@ -409,40 +405,68 @@ mod tests {
         let good = asm::assemble("lsh64 r1, 2").unwrap();
         let bad = asm::assemble("lsh64 r1, 3").unwrap();
         let (fresh_good, _) = check_window(&src, window, &good, &opts());
-        let (ctx_good, _, _) = check_window_with(&ctx, &src, window, &good, &opts(), None);
+        let (ctx_good, _, _) = check_window_with(&ctx, &src, window, &good, &opts(), true);
         assert_eq!(fresh_good, ctx_good);
         assert!(ctx_good.is_equivalent());
         let (fresh_bad, _) = check_window(&src, window, &bad, &opts());
-        let (ctx_bad, _, _) = check_window_with(&ctx, &src, window, &bad, &opts(), None);
+        let (ctx_bad, _, _) = check_window_with(&ctx, &src, window, &bad, &opts(), true);
         assert_eq!(fresh_bad, ctx_bad);
         assert!(!ctx_bad.is_equivalent());
     }
 
     #[test]
     fn facts_strengthen_the_window_precondition() {
-        // r6 = prandom() & 7: the type analysis sees only "unknown" (it
-        // tracks constants and pointers), but the abstract interpreter
-        // bounds r6 to [0, 7] at the window entry — making the
+        // r6 = prandom() & 7: not a constant, so r6 enters the window as a
+        // free variable, but the abstract interpreter bounds it to [0, 7]
+        // at the window entry — asserting that range makes the
         // fact-dependent rewrite `r6 >>= 3` -> `r6 = 0` provable.
         let src =
             xdp("call get_prandom_u32\nmov64 r6, r0\nand64 r6, 7\nrsh64 r6, 3\nmov64 r0, r6\nexit");
         let window = Window { start: 3, end: 4 };
         let replacement = asm::assemble("mov64 r6, 0").unwrap();
         let ctx = WindowContext::new(&src).expect("source has a CFG");
-        let (plain, _, n0) = check_window_with(&ctx, &src, window, &replacement, &opts(), None);
+        let (plain, _, n0) = check_window_with(&ctx, &src, window, &replacement, &opts(), false);
         assert!(!plain.is_equivalent(), "{plain:?}");
         assert_eq!(n0, 0);
-        let res = bpf_analysis::analyze(&src, &bpf_analysis::AbsintConfig::default());
-        assert!(matches!(res.verdict, bpf_analysis::Verdict::Accept));
-        let (with, _, n) =
-            check_window_with(&ctx, &src, window, &replacement, &opts(), Some(&res.facts));
+        let (with, _, n) = check_window_with(&ctx, &src, window, &replacement, &opts(), true);
         assert!(with.is_equivalent(), "{with:?}");
         assert!(n > 0, "expected fact constraints to be asserted");
         // A genuinely wrong rewrite stays refutable under the facts.
         let bad = asm::assemble("mov64 r6, 1").unwrap();
-        let (still_bad, _, _) =
-            check_window_with(&ctx, &src, window, &bad, &opts(), Some(&res.facts));
+        let (still_bad, _, _) = check_window_with(&ctx, &src, window, &bad, &opts(), true);
         assert!(!still_bad.is_equivalent());
+    }
+
+    #[test]
+    fn constants_and_stack_pointers_enter_as_terms_without_range_facts() {
+        // r3 is a constant and r6 an exact stack pointer at the window
+        // entry: both are preconditions even with the range facts off, so
+        // no range constraint is asserted and the rewrites that depend on
+        // them still prove.
+        let src = xdp("mov64 r3, 4\nmov64 r6, r10\nadd64 r6, -8\nmov64 r1, 10\nmul64 r1, r3\nstdw [r6+0], 1\nldxdw r0, [r10-8]\nexit");
+        let ctx = WindowContext::new(&src).expect("source has a CFG");
+        let strength = asm::assemble("lsh64 r1, 2").unwrap();
+        let (outcome, _, n) = check_window_with(
+            &ctx,
+            &src,
+            Window { start: 4, end: 5 },
+            &strength,
+            &opts(),
+            false,
+        );
+        assert!(outcome.is_equivalent(), "{outcome:?}");
+        assert_eq!(n, 0);
+        let through_r10 = asm::assemble("stdw [r10-8], 1").unwrap();
+        let (outcome, _, n) = check_window_with(
+            &ctx,
+            &src,
+            Window { start: 5, end: 6 },
+            &through_r10,
+            &opts(),
+            false,
+        );
+        assert!(outcome.is_equivalent(), "{outcome:?}");
+        assert_eq!(n, 0);
     }
 
     #[test]

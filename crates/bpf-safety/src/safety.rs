@@ -20,10 +20,15 @@ pub struct SafetyConfig {
 
 impl Default for SafetyConfig {
     fn default() -> Self {
+        let AbsintConfig {
+            max_insns,
+            complexity_limit,
+            enforce_stack_alignment,
+        } = AbsintConfig::default();
         SafetyConfig {
-            complexity_limit: 100_000,
-            max_insns: 4096,
-            enforce_stack_alignment: true,
+            complexity_limit,
+            max_insns,
+            enforce_stack_alignment,
         }
     }
 }
@@ -130,6 +135,7 @@ mod tests {
     fn default_config_matches_paper_constraints() {
         let cfg = SafetyConfig::default();
         assert_eq!(cfg.max_insns, 4096);
+        assert_eq!(cfg.complexity_limit, 100_000);
         assert!(cfg.enforce_stack_alignment);
     }
 

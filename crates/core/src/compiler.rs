@@ -65,11 +65,10 @@ pub struct CompilerOptions {
     /// bit-identical with it on or off. The `K2_INCREMENTAL_SAT` environment
     /// override is applied by the `k2::api` layering.
     pub incremental_sat: bool,
-    /// Abstract-interpretation facts about the source as window
-    /// preconditions, threaded into every chain's
-    /// [`crate::cost::CostSettings`]. Safety checking always runs the
-    /// abstract interpreter; this knob only affects solver work, so search
-    /// trajectories are bit-identical with it on or off. The
+    /// Range facts of the abstract interpreter as window preconditions (see
+    /// [`bpf_equiv::EquivOptions::static_analysis`]), threaded into every
+    /// chain's [`crate::cost::CostSettings`]. This knob only affects solver
+    /// work, so search trajectories are bit-identical with it on or off. The
     /// `K2_STATIC_ANALYSIS` environment override is applied by the
     /// `k2::api` layering.
     pub static_analysis: bool,

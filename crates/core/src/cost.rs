@@ -93,11 +93,10 @@ pub struct CostSettings {
     /// `K2_INCREMENTAL_SAT` environment override is resolved by the
     /// `k2::api` configuration layering.
     pub incremental_sat: bool,
-    /// Feed the abstract interpreter's facts about the source to the
-    /// window-based equivalence checker as window preconditions (see
-    /// [`EquivOptions::static_analysis`]). Pure optimization: search
-    /// trajectories are bit-identical with the knob off. Safety checking
-    /// always runs the abstract interpreter. The `K2_STATIC_ANALYSIS`
+    /// Assert the abstract interpreter's range facts about the source as
+    /// window preconditions (see [`EquivOptions::static_analysis`]). Pure
+    /// optimization: search trajectories are bit-identical with the knob
+    /// off. The `K2_STATIC_ANALYSIS`
     /// environment override is resolved by the `k2::api` configuration
     /// layering.
     pub static_analysis: bool,

@@ -118,12 +118,23 @@ fn windowed_verdicts_match_the_full_check_on_real_proposal_streams() {
     use k2_core::proposals::RuleProbabilities;
     use k2_core::ProposalGenerator;
 
-    let picks = ["xdp_pktcntr", "xdp_cpumap_enqueue", "xdp_exception"];
+    // (program, steps). recvmsg4 has the most live stack bytes, and
+    // xdp_redirect and from-network the most constants that only the
+    // abstract interpreter finds (14 each); their full checks are slow, so
+    // their streams are shorter.
+    let picks = [
+        ("xdp_pktcntr", 30),
+        ("xdp_cpumap_enqueue", 30),
+        ("xdp_exception", 30),
+        ("recvmsg4", 4),
+        ("xdp_redirect", 4),
+        ("from-network", 6),
+    ];
     let mut window_attempts = 0u64;
-    for bench in bpf_bench_suite::all()
-        .into_iter()
-        .filter(|b| picks.contains(&b.name))
-    {
+    for bench in bpf_bench_suite::all() {
+        let Some(&(_, steps)) = picks.iter().find(|(name, _)| *name == bench.name) else {
+            continue;
+        };
         let (_, baseline) = k2::baseline::best_baseline(&bench.prog);
         let mut generator = ProposalGenerator::new(
             &baseline,
@@ -140,7 +151,7 @@ fn windowed_verdicts_match_the_full_check_on_real_proposal_streams() {
             ..opts
         });
         let mut current = baseline.insns.clone();
-        for step in 0..30 {
+        for step in 0..steps {
             let (proposal, _rule, region) = generator.propose(&current);
             let cand = baseline.with_insns(proposal.clone());
             let w = windowed.check_in_window(
