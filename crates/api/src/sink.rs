@@ -194,27 +194,26 @@ impl EventSink for StderrProgress {
             }
             SearchEvent::SolverStats {
                 epoch,
-                queries,
-                cache_hits,
-                shared_cache_hits,
-                cache_misses,
-                window_hits,
-                window_fallbacks,
-                refuted_by_testing,
-                smt_escalations,
-                safety_screens,
-                safety_screen_rejects,
-                static_window_facts,
+                equiv,
+                safety,
                 ..
             } => {
                 let _ = writeln!(
                     out,
-                    "{p}: epoch {epoch}: {queries} solver queries, cache {cache_hits}+\
-                     {shared_cache_hits} hits / {cache_misses} misses, windows \
-                     {window_hits} hits / {window_fallbacks} fallbacks, refuted \
-                     {refuted_by_testing} / escalated {smt_escalations}, absint \
-                     {safety_screens} checks / {safety_screen_rejects} rejects, \
-                     {static_window_facts} window facts"
+                    "{p}: epoch {epoch}: {} solver queries, cache {}+{} hits / {} misses, \
+                     windows {} hits / {} fallbacks, refuted {} / escalated {}, absint \
+                     {} checks / {} rejects, {} window facts",
+                    equiv.queries,
+                    equiv.cache_hits,
+                    equiv.shared_cache_hits,
+                    equiv.cache_misses,
+                    equiv.window_hits,
+                    equiv.window_fallbacks,
+                    equiv.refuted_by_testing,
+                    equiv.smt_escalations,
+                    safety.checked,
+                    safety.unsafe_found,
+                    equiv.static_window_facts
                 );
             }
             SearchEvent::EpochBarrier {

@@ -4,23 +4,21 @@
 
 use bpf_bench_suite::by_name;
 use criterion::{criterion_group, criterion_main, Criterion};
-use k2_core::{CostFunction, CostSettings, MarkovChain, OptimizationGoal, ProposalGenerator};
+use k2_core::{CompilerOptions, CostFunction, CostSettings, MarkovChain, ProposalGenerator};
 use std::hint::black_box;
 
 fn bench_search(c: &mut Criterion) {
     let mut group = c.benchmark_group("search");
     group.sample_size(10);
     let bench = by_name("xdp_pktcntr").expect("benchmark exists");
+    let options = CompilerOptions {
+        num_tests: 8,
+        ..CompilerOptions::default()
+    };
 
     group.bench_function("markov_chain_200_iterations", |b| {
         b.iter(|| {
-            let cost = CostFunction::new(
-                &bench.prog,
-                CostSettings::default(),
-                OptimizationGoal::InstructionCount,
-                8,
-                1,
-            );
+            let cost = CostFunction::new(&bench.prog, &options, CostSettings::default(), 1);
             let generator = ProposalGenerator::new(
                 &bench.prog,
                 k2_core::proposals::RuleProbabilities::default(),

@@ -264,7 +264,7 @@ pub struct AbsintConfig {
     pub enforce_stack_alignment: bool,
 }
 
-/// The search's safety budget: `bpf_safety::SafetyConfig` defaults to it,
+/// The search's safety budget: `bpf_safety::SafetyChecker` defaults to it,
 /// and the equivalence checker's source analysis runs under it, so a source
 /// that passes the safety check always gets its facts.
 impl Default for AbsintConfig {

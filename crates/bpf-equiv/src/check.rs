@@ -5,7 +5,7 @@ use crate::counterexample::input_from_model;
 use crate::encode::{EncodeError, EncodeOptions, Encoder};
 use crate::refute::Refuter;
 use crate::window::{check_window_with, Window, WindowContext};
-use bitsmt::{CheckResult, IncrementalSolver, Solver, TermPool};
+use bitsmt::{CheckResult, IncrementalSolver, Solver, TermId, TermPool};
 use bpf_interp::ProgramInput;
 use bpf_isa::Program;
 use k2_telemetry::TelemetryRef;
@@ -173,6 +173,18 @@ impl EquivStats {
         self.last_cnf_clauses = 0;
     }
 
+    /// The count-valued projection: the wall-clock fields are zeroed, so
+    /// the statistics of two same-seed runs compare equal.
+    pub fn counts_only(&self) -> EquivStats {
+        EquivStats {
+            window_time_us: 0,
+            refute_time_us: 0,
+            total_time_us: 0,
+            last_time_us: 0,
+            ..*self
+        }
+    }
+
     /// Fraction of cache-eligible checks answered by either cache layer.
     pub fn cache_hit_rate(&self) -> f64 {
         let hits = self.cache_hits + self.shared_cache_hits;
@@ -215,6 +227,45 @@ pub fn check_equivalence(
 
 fn outcome_of_error(e: EncodeError) -> EquivOutcome {
     EquivOutcome::Unknown(e.to_string())
+}
+
+/// The full-program difference query of one (source, candidate) pair.
+struct DiffQuery {
+    /// Side constraints of both encodings; the first `n_src` are the
+    /// source's.
+    constraints: Vec<TermId>,
+    n_src: usize,
+    /// The goal "the outputs or the helper-call logs differ".
+    differ: TermId,
+}
+
+/// Encode `src` (tag 0), then `cand` (tag 1), into `encoder` and build the
+/// difference goal. The incremental and the cold path both build their
+/// query here, so the terms are created in the same order on both and the
+/// cold solve's model — hence its counterexample — does not depend on
+/// which path ran. `Err` carries the verdict when no query can be built:
+/// `Unknown` on an encode failure, `NotEquivalent` when the call logs
+/// cannot match.
+fn encode_diff_query(
+    encoder: &mut Encoder<'_>,
+    src: &Program,
+    cand: &Program,
+) -> Result<DiffQuery, EquivOutcome> {
+    let enc_src = encoder.encode_program(src, 0).map_err(outcome_of_error)?;
+    let n_src = encoder.constraints.len();
+    let enc_cand = encoder.encode_program(cand, 1).map_err(outcome_of_error)?;
+    let call_compat = encoder
+        .call_logs_compatible(&enc_src, &enc_cand)
+        .ok_or(EquivOutcome::NotEquivalent(None))?;
+    let out_diff = encoder.output_difference(&enc_src, &enc_cand);
+    let pool = encoder.pool();
+    let calls_differ = pool.not(call_compat);
+    let differ = pool.or(out_diff, calls_differ);
+    Ok(DiffQuery {
+        constraints: encoder.constraints.clone(),
+        n_src,
+        differ,
+    })
 }
 
 /// Fingerprint of a source program's instructions, used to key the
@@ -635,20 +686,11 @@ impl EquivChecker {
         // new, but shared subterms hit the blaster memo.
         let encode_span = telemetry.span("equiv.encode");
         let mut encoder = Encoder::new(&mut ctx.pool, encode_options);
-        let enc_src = encoder.encode_program(src, 0).ok()?;
-        let n_src = encoder.constraints.len();
-        let enc_cand = encoder.encode_program(cand, 1).ok()?;
-        let call_compat = encoder.call_logs_compatible(&enc_src, &enc_cand)?;
-        let out_diff = encoder.output_difference(&enc_src, &enc_cand);
-        let calls_differ = {
-            let p = encoder.pool();
-            p.not(call_compat)
-        };
-        let differ = {
-            let p = encoder.pool();
-            p.or(out_diff, calls_differ)
-        };
-        let constraints = encoder.constraints.clone();
+        let DiffQuery {
+            constraints,
+            n_src,
+            differ,
+        } = encode_diff_query(&mut encoder, src, cand).ok()?;
         drop(encoder);
         encode_span.finish();
 
@@ -687,28 +729,10 @@ impl EquivChecker {
         // including) bit-blasting; an encode failure still records the
         // time spent failing (the span drops on the early return).
         let encode_span = telemetry.span("equiv.encode");
-        let enc_src = match encoder.encode_program(src, 0) {
-            Ok(e) => e,
-            Err(e) => return self.finish(outcome_of_error(e), start),
+        let query = match encode_diff_query(&mut encoder, src, cand) {
+            Ok(query) => query,
+            Err(outcome) => return self.finish(outcome, start),
         };
-        let enc_cand = match encoder.encode_program(cand, 1) {
-            Ok(e) => e,
-            Err(e) => return self.finish(outcome_of_error(e), start),
-        };
-        let call_compat = match encoder.call_logs_compatible(&enc_src, &enc_cand) {
-            Some(c) => c,
-            None => return self.finish(EquivOutcome::NotEquivalent(None), start),
-        };
-        let out_diff = encoder.output_difference(&enc_src, &enc_cand);
-        let calls_differ = {
-            let p = encoder.pool();
-            p.not(call_compat)
-        };
-        let differ = {
-            let p = encoder.pool();
-            p.or(out_diff, calls_differ)
-        };
-        let constraints = encoder.constraints.clone();
         encode_span.finish();
 
         // Solve. The solver needs the pool mutably, so run it in a scope that
@@ -717,10 +741,10 @@ impl EquivChecker {
         let (result, cnf_vars, cnf_clauses) = {
             let mut solver = Solver::new(encoder.pool());
             solver.set_telemetry(telemetry.clone());
-            for c in &constraints {
+            for c in &query.constraints {
                 solver.assert(*c);
             }
-            solver.assert(differ);
+            solver.assert(query.differ);
             let r = solver.check();
             (r, solver.stats.cnf_vars, solver.stats.cnf_clauses)
         };

@@ -33,4 +33,4 @@ pub mod safety;
 
 pub use bpf_analysis::{AbsintStats, Verdict, VerifierError};
 pub use linux::{LinuxVerifier, LinuxVerifierConfig};
-pub use safety::{SafetyChecker, SafetyConfig, SafetyStats};
+pub use safety::{SafetyChecker, SafetyStats};

@@ -3,42 +3,15 @@
 use bpf_analysis::{analyze, AbsintConfig, AbsintStats, Verdict, VerifierError};
 use bpf_isa::Program;
 
-/// Configuration of the K2 safety checker.
-///
-/// K2 evaluates a candidate at every search step, so its complexity budget is
-/// lower than the kernel's: an exploding candidate should be given up on
-/// quickly (it would be rejected by the kernel anyway).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SafetyConfig {
-    /// Budget of instructions examined across all paths.
-    pub complexity_limit: usize,
-    /// Maximum program length (wire slots).
-    pub max_insns: usize,
-    /// Enforce size-aligned stack accesses.
-    pub enforce_stack_alignment: bool,
-}
-
-impl Default for SafetyConfig {
-    fn default() -> Self {
-        let AbsintConfig {
-            max_insns,
-            complexity_limit,
-            enforce_stack_alignment,
-        } = AbsintConfig::default();
-        SafetyConfig {
-            complexity_limit,
-            max_insns,
-            enforce_stack_alignment,
-        }
-    }
-}
-
 /// The K2 safety checker: control-flow safety, memory safety, and the
 /// kernel-checker-specific constraints, evaluated on every candidate program.
 #[derive(Debug, Clone, Default)]
 pub struct SafetyChecker {
-    /// Configuration in effect.
-    pub config: SafetyConfig,
+    /// Configuration in effect. K2 evaluates a candidate at every search
+    /// step, so the default budget ([`AbsintConfig::default`]) is lower than
+    /// the kernel's: an exploding candidate is given up on quickly (the
+    /// kernel would reject it anyway).
+    pub config: AbsintConfig,
     /// Accumulated statistics.
     pub stats: SafetyStats,
 }
@@ -69,7 +42,7 @@ impl SafetyStats {
 
 impl SafetyChecker {
     /// Create a checker with the given configuration.
-    pub fn new(config: SafetyConfig) -> SafetyChecker {
+    pub fn new(config: AbsintConfig) -> SafetyChecker {
         SafetyChecker {
             config,
             stats: SafetyStats::default(),
@@ -81,14 +54,7 @@ impl SafetyChecker {
     /// `ERR_MAX` safety cost of §3.2).
     pub fn check(&mut self, prog: &Program) -> Result<AbsintStats, VerifierError> {
         self.stats.checked += 1;
-        let result = analyze(
-            prog,
-            &AbsintConfig {
-                max_insns: self.config.max_insns,
-                complexity_limit: self.config.complexity_limit,
-                enforce_stack_alignment: self.config.enforce_stack_alignment,
-            },
-        );
+        let result = analyze(prog, &self.config);
         self.stats.insns_examined += result.stats.insns_examined as u64;
         match result.verdict {
             Verdict::Accept => {
@@ -120,7 +86,7 @@ mod tests {
 
     #[test]
     fn stats_accumulate() {
-        let mut checker = SafetyChecker::new(SafetyConfig::default());
+        let mut checker = SafetyChecker::default();
         let safe = xdp("mov64 r0, 0\nexit");
         let unsafe_p = xdp("ldxdw r0, [r10-8]\nexit");
         assert!(checker.is_safe(&safe));
@@ -133,7 +99,7 @@ mod tests {
 
     #[test]
     fn default_config_matches_paper_constraints() {
-        let cfg = SafetyConfig::default();
+        let cfg = AbsintConfig::default();
         assert_eq!(cfg.max_insns, 4096);
         assert_eq!(cfg.complexity_limit, 100_000);
         assert!(cfg.enforce_stack_alignment);
@@ -154,7 +120,7 @@ mod tests {
             "mov64 r0, 0\nexit\nmov64 r0, 1\nexit",
             "stdw [r10-520], 1\nmov64 r0, 0\nexit",
         ];
-        let mut checker = SafetyChecker::new(SafetyConfig::default());
+        let mut checker = SafetyChecker::default();
         let kernel = LinuxVerifier::default();
         for text in probes {
             let prog = xdp(text);
@@ -174,9 +140,9 @@ mod tests {
 
     #[test]
     fn complexity_limit_rejects() {
-        let mut checker = SafetyChecker::new(SafetyConfig {
+        let mut checker = SafetyChecker::new(AbsintConfig {
             complexity_limit: 1,
-            ..SafetyConfig::default()
+            ..AbsintConfig::default()
         });
         assert_eq!(
             checker.check(&xdp("mov64 r0, 0\nexit")).unwrap_err(),

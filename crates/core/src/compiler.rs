@@ -39,37 +39,40 @@ pub struct CompilerOptions {
     pub top_k: usize,
     /// Run the chains on multiple threads.
     pub parallel: bool,
-    /// Execution backend for candidate evaluation (threaded into every
-    /// chain's [`crate::cost::CostSettings`]). The `K2_BACKEND` environment
-    /// override is applied by the `k2::api` configuration layering before
-    /// these options are built, not here.
+    /// Execution backend for candidate evaluation. The `K2_BACKEND`
+    /// environment override is applied by the `k2::api` configuration
+    /// layering before these options are built, not here.
+    ///
+    /// This and the next four fields are the verification pipeline: one
+    /// choice per compilation, read by every chain's
+    /// [`crate::cost::CostFunction`] (chains differ only in their
+    /// [`SearchParams`]).
     pub backend: BackendKind,
     /// Window-based (modular) equivalence verification — the paper's
-    /// optimization IV, on by default and threaded into every chain's
-    /// [`crate::cost::CostSettings`]. A pure solver-work optimization:
+    /// optimization IV, on by default. A pure solver-work optimization:
     /// results are bit-identical with it on or off. The `K2_WINDOW`
     /// environment override is applied by the `k2::api` layering.
     pub window_verification: bool,
-    /// Size of the pre-SMT refutation batch, threaded into every chain's
-    /// [`crate::cost::CostSettings`]: cache-miss candidates are first run on
-    /// this many deterministic random inputs on the fast execution backend
-    /// and refuted without a solver query when any output diverges. `0`
-    /// disables the stage; refutation never flips a verdict the solver would
-    /// have reached. The `K2_REFUTE_INPUTS` environment override is applied
+    /// Size of the pre-SMT refutation batch: cache-miss candidates are first
+    /// run on this many deterministic random inputs on the fast execution
+    /// backend and refuted without a solver query when any output diverges.
+    /// `0` disables the stage; refutation never flips a verdict the solver
+    /// would have reached. The batch seed is drawn from the chain's RNG
+    /// stream (only when the stage is on), so same-seed runs stay
+    /// bit-identical. The `K2_REFUTE_INPUTS` environment override is applied
     /// by the `k2::api` layering.
     pub refute_inputs: usize,
-    /// Incremental SAT solving for full-program equivalence queries,
-    /// threaded into every chain's [`crate::cost::CostSettings`]: the source
-    /// CNF and learned clauses stay warm in a per-source solver context. A
-    /// pure solver-work optimization: verdicts and counterexamples are
-    /// bit-identical with it on or off. The `K2_INCREMENTAL_SAT` environment
-    /// override is applied by the `k2::api` layering.
+    /// Incremental SAT solving for full-program equivalence queries: the
+    /// source CNF and learned clauses stay warm in a per-source solver
+    /// context. A pure solver-work optimization: verdicts and
+    /// counterexamples are bit-identical with it on or off. The
+    /// `K2_INCREMENTAL_SAT` environment override is applied by the `k2::api`
+    /// layering.
     pub incremental_sat: bool,
     /// Range facts of the abstract interpreter as window preconditions (see
-    /// [`bpf_equiv::EquivOptions::static_analysis`]), threaded into every
-    /// chain's [`crate::cost::CostSettings`]. This knob only affects solver
-    /// work, so search trajectories are bit-identical with it on or off. The
-    /// `K2_STATIC_ANALYSIS` environment override is applied by the
+    /// [`bpf_equiv::EquivOptions::static_analysis`]). This knob only affects
+    /// solver work, so search trajectories are bit-identical with it on or
+    /// off. The `K2_STATIC_ANALYSIS` environment override is applied by the
     /// `k2::api` layering.
     pub static_analysis: bool,
     /// Engine-level knobs: epochs, cross-chain sharing, convergence, the
@@ -261,6 +264,54 @@ mod tests {
         opts.parallel = true;
         let par = optimize_with(&opts, &src);
         assert_eq!(seq.best.insns, par.best.insns);
+    }
+
+    #[test]
+    fn pipeline_settings_reach_the_stages_they_control() {
+        // Each verification-pipeline setting is read from the options by
+        // every chain: turned off, the stage it controls leaves its counter
+        // at zero; with the defaults every counter moves. `r6` is bounded
+        // but not constant, so windows after the `and` get range facts.
+        let src =
+            xdp("call get_prandom_u32\nmov64 r6, r0\nand64 r6, 7\nrsh64 r6, 3\nmov64 r0, r6\nexit");
+        let run = |opts: CompilerOptions| {
+            let opts = CompilerOptions {
+                telemetry: TelemetryRef::collector(),
+                ..opts
+            };
+            let report = optimize_with(&opts, &src).report;
+            let inc_queries = report.telemetry.counter("bitsmt.inc.queries");
+            (report.equiv, inc_queries)
+        };
+        let windows = |e: &bpf_equiv::EquivStats| e.window_hits + e.window_fallbacks;
+        let refuter = |e: &bpf_equiv::EquivStats| e.refuted_by_testing + e.smt_escalations;
+
+        let (on, inc_on) = run(small_options(600));
+        assert!(windows(&on) > 0, "{on:?}");
+        assert!(refuter(&on) > 0, "{on:?}");
+        assert!(on.static_window_facts > 0, "{on:?}");
+        assert!(inc_on > 0);
+
+        let (off, _) = run(CompilerOptions {
+            window_verification: false,
+            ..small_options(600)
+        });
+        assert_eq!(windows(&off), 0, "{off:?}");
+        let (off, _) = run(CompilerOptions {
+            refute_inputs: 0,
+            ..small_options(600)
+        });
+        assert_eq!(refuter(&off), 0, "{off:?}");
+        let (off, _) = run(CompilerOptions {
+            static_analysis: false,
+            ..small_options(600)
+        });
+        assert_eq!(off.static_window_facts, 0, "{off:?}");
+        let (_, inc_off) = run(CompilerOptions {
+            incremental_sat: false,
+            ..small_options(600)
+        });
+        assert_eq!(inc_off, 0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! performance cost (instruction count or estimated latency), and safety
 //! cost.
 
-use crate::compiler::OptimizationGoal;
+use crate::compiler::{CompilerOptions, OptimizationGoal};
 use bpf_equiv::{
     CacheStats, EquivCache, EquivChecker, EquivOptions, EquivOutcome, EquivStats, Refuter,
 };
@@ -10,7 +10,7 @@ use bpf_interp::{
     BackendKind, CostModel, ExecBackend, InputGenerator, ProgramInput, ProgramOutput,
 };
 use bpf_isa::Program;
-use bpf_safety::{SafetyChecker, SafetyConfig};
+use bpf_safety::SafetyChecker;
 use k2_telemetry::TelemetryRef;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -63,43 +63,6 @@ pub struct CostSettings {
     pub beta: f64,
     /// Weight of the safety cost (γ).
     pub gamma: f64,
-    /// Which execution backend evaluates candidates on the test suite
-    /// (`Auto` picks the JIT when the target supports it). The `K2_BACKEND`
-    /// environment override is resolved by the `k2::api` configuration
-    /// layering before options reach the engine.
-    pub backend: BackendKind,
-    /// Window-based (modular) equivalence verification — the paper's
-    /// optimization IV. When on, candidates whose deviation from the source
-    /// is a straight-line span are first checked window-locally; the full
-    /// program pair is only encoded when the window is inconclusive. Pure
-    /// optimization: verdicts and search trajectories are identical either
-    /// way. The `K2_WINDOW` environment override is resolved by the
-    /// `k2::api` configuration layering.
-    pub window_verification: bool,
-    /// Size of the pre-SMT refutation batch: cache-miss candidates are first
-    /// run on this many deterministic random inputs (fast backend, JIT where
-    /// available) and refuted without a solver query when any output
-    /// diverges. `0` disables the stage. Refutation is conservative — it
-    /// never flips a verdict the solver would have reached — and the batch
-    /// seed is drawn from the chain's RNG stream so same-seed runs stay
-    /// bit-identical. The `K2_REFUTE_INPUTS` environment override is
-    /// resolved by the `k2::api` configuration layering.
-    pub refute_inputs: usize,
-    /// Solve full-program equivalence queries incrementally: the source
-    /// program's CNF and the learned clauses stay warm in a persistent
-    /// per-source solver context, and each candidate is checked under an
-    /// activation-literal assumption. Pure optimization: verdicts and
-    /// counterexample models are identical either way. The
-    /// `K2_INCREMENTAL_SAT` environment override is resolved by the
-    /// `k2::api` configuration layering.
-    pub incremental_sat: bool,
-    /// Assert the abstract interpreter's range facts about the source as
-    /// window preconditions (see [`EquivOptions::static_analysis`]). Pure
-    /// optimization: search trajectories are bit-identical with the knob
-    /// off. The `K2_STATIC_ANALYSIS`
-    /// environment override is resolved by the `k2::api` configuration
-    /// layering.
-    pub static_analysis: bool,
 }
 
 impl Default for CostSettings {
@@ -111,11 +74,6 @@ impl Default for CostSettings {
             alpha: 0.5,
             beta: 5.0,
             gamma: 1.0,
-            backend: BackendKind::Auto,
-            window_verification: true,
-            refute_inputs: 64,
-            incremental_sat: true,
-            static_analysis: true,
         }
     }
 }
@@ -175,6 +133,8 @@ pub struct CostFunction {
     /// Backend selection policy in effect, fixed for the lifetime of this
     /// cost function.
     backend: BackendKind,
+    /// Size of the pre-SMT refutation batch ([`CompilerOptions::refute_inputs`]).
+    refute_inputs: usize,
     /// The prepared executor for the source program, built once at
     /// construction (for the JIT backend this holds the compiled code page)
     /// and reused whenever a counterexample must be graded.
@@ -191,15 +151,17 @@ pub struct CostFunction {
 
 impl CostFunction {
     /// Build the cost function for a source program: generate the initial
-    /// test suite and record the source outputs.
+    /// test suite and record the source outputs. The goal, the test count
+    /// and the verification pipeline (backend, window verification,
+    /// refutation batch, incremental SAT, static analysis) come from the
+    /// compilation's `opts`; `settings` is the chain's own cost variant.
     pub fn new(
         src: &Program,
+        opts: &CompilerOptions,
         settings: CostSettings,
-        goal: OptimizationGoal,
-        num_tests: usize,
         seed: u64,
     ) -> CostFunction {
-        Self::with_shared_cache(src, settings, goal, num_tests, seed, None)
+        Self::with_shared_cache(src, opts, settings, seed, None)
     }
 
     /// Like [`CostFunction::new`], but the equivalence checker additionally
@@ -208,18 +170,16 @@ impl CostFunction {
     /// the same source program.
     pub fn with_shared_cache(
         src: &Program,
+        opts: &CompilerOptions,
         settings: CostSettings,
-        goal: OptimizationGoal,
-        num_tests: usize,
         seed: u64,
         shared_cache: Option<Arc<EquivCache>>,
     ) -> CostFunction {
         let mut generator = InputGenerator::new(seed);
-        let tests = generator.generate_suite(src, num_tests.max(1));
+        let tests = generator.generate_suite(src, opts.num_tests.max(1));
         // Prepare the source executor a single time: its expected outputs
         // are computed here and never re-derived per candidate.
-        let backend = settings.backend;
-        let src_exec = bpf_jit::backend_for(src, backend);
+        let src_exec = bpf_jit::backend_for(src, opts.backend);
         let mut stats = CostStats::default();
         let expected: Vec<Option<ProgramOutput>> = tests
             .iter()
@@ -229,14 +189,14 @@ impl CostFunction {
             })
             .collect();
         let cost_model = CostModel::default();
-        let src_perf = match goal {
+        let src_perf = match opts.goal {
             OptimizationGoal::InstructionCount => src.real_len() as f64,
             OptimizationGoal::Latency => cost_model.program_cost(src) as f64,
         };
         let equiv_options = EquivOptions {
-            window_verification: settings.window_verification,
-            incremental_solving: settings.incremental_sat,
-            static_analysis: settings.static_analysis,
+            window_verification: opts.window_verification,
+            incremental_solving: opts.incremental_sat,
+            static_analysis: opts.static_analysis,
             ..EquivOptions::default()
         };
         let equiv = match shared_cache {
@@ -245,15 +205,16 @@ impl CostFunction {
         };
         CostFunction {
             settings,
-            goal,
+            goal: opts.goal,
             src: src.clone(),
             tests,
             expected,
             equiv,
-            safety: SafetyChecker::new(SafetyConfig::default()),
+            safety: SafetyChecker::default(),
             cost_model,
             src_perf,
-            backend,
+            backend: opts.backend,
+            refute_inputs: opts.refute_inputs,
             src_exec,
             pending_cex: Vec::new(),
             stats,
@@ -274,16 +235,23 @@ impl CostFunction {
         &self.telemetry
     }
 
+    /// Whether a pre-SMT refutation batch is configured
+    /// ([`CompilerOptions::refute_inputs`] is non-zero), i.e. whether
+    /// [`Self::install_refuter`] does anything.
+    pub fn has_refuter_batch(&self) -> bool {
+        self.refute_inputs > 0
+    }
+
     /// Install the pre-SMT refutation stage: build a batch of
-    /// [`CostSettings::refute_inputs`] deterministic inputs from `seed`
+    /// [`CompilerOptions::refute_inputs`] deterministic inputs from `seed`
     /// (drawn by the caller from the chain's RNG stream) together with the
     /// source's outputs on them, and hand it to the equivalence checker.
-    /// No-op when `refute_inputs` is zero.
+    /// No-op when no batch is configured.
     pub fn install_refuter(&mut self, seed: u64) {
-        if self.settings.refute_inputs == 0 {
+        if !self.has_refuter_batch() {
             return;
         }
-        let refuter = Refuter::new(&self.src, self.backend, self.settings.refute_inputs, seed);
+        let refuter = Refuter::new(&self.src, self.backend, self.refute_inputs, seed);
         self.equiv.set_refuter(refuter);
     }
 
@@ -518,13 +486,11 @@ mod tests {
     }
 
     fn cost_fn(src: &Program) -> CostFunction {
-        CostFunction::new(
-            src,
-            CostSettings::default(),
-            OptimizationGoal::InstructionCount,
-            8,
-            1,
-        )
+        let opts = CompilerOptions {
+            num_tests: 8,
+            ..CompilerOptions::default()
+        };
+        CostFunction::new(src, &opts, CostSettings::default(), 1)
     }
 
     #[test]
@@ -609,13 +575,12 @@ mod tests {
     #[test]
     fn latency_goal_uses_cost_model() {
         let src = xdp("stdw [r10-8], 0\nldxdw r0, [r10-8]\nexit");
-        let f = CostFunction::new(
-            &src,
-            CostSettings::default(),
-            OptimizationGoal::Latency,
-            4,
-            1,
-        );
+        let opts = CompilerOptions {
+            goal: OptimizationGoal::Latency,
+            num_tests: 4,
+            ..CompilerOptions::default()
+        };
+        let f = CostFunction::new(&src, &opts, CostSettings::default(), 1);
         // Memory operations cost more than 1 each under the latency model.
         assert!(f.src_perf_cost() > 3.0);
     }
@@ -658,15 +623,14 @@ mod tests {
             xdp("ldxdw r0, [r10-8]\nexit"),
             xdp("mov64 r0, 5\nadd64 r0, 7\nexit"),
         ];
-        let mut settings = CostSettings {
+        let mut opts = CompilerOptions {
             backend: BackendKind::Interp,
-            ..CostSettings::default()
+            num_tests: 8,
+            ..CompilerOptions::default()
         };
-        let mut interp_fn =
-            CostFunction::new(&src, settings, OptimizationGoal::InstructionCount, 8, 1);
-        settings.backend = BackendKind::Jit;
-        let mut jit_fn =
-            CostFunction::new(&src, settings, OptimizationGoal::InstructionCount, 8, 1);
+        let mut interp_fn = CostFunction::new(&src, &opts, CostSettings::default(), 1);
+        opts.backend = BackendKind::Jit;
+        let mut jit_fn = CostFunction::new(&src, &opts, CostSettings::default(), 1);
         for cand in &candidates {
             assert_eq!(interp_fn.evaluate(cand), jit_fn.evaluate(cand));
         }

@@ -56,40 +56,24 @@ pub enum SearchEvent {
         /// Instruction count (`real_len`) of the new global best.
         insns: usize,
     },
-    /// Aggregated solver and verdict-cache counters at an epoch barrier.
+    /// Aggregated solver, verdict-cache and safety counters at an epoch
+    /// barrier, summed over chains.
     SolverStats {
         /// 1-based epoch index.
         epoch: u64,
-        /// Solver queries issued so far, summed over chains.
-        queries: u64,
-        /// Private-layer verdict-cache hits so far.
-        cache_hits: u64,
-        /// Cross-chain shared-layer hits so far.
-        shared_cache_hits: u64,
-        /// Checks that missed both cache layers so far.
-        cache_misses: u64,
-        /// Checks resolved by the window-local fast path so far
-        /// (optimization IV: full-program queries that were never built).
-        window_hits: u64,
-        /// Windowed checks that fell back to the full program pair so far.
-        window_fallbacks: u64,
-        /// Cache-miss candidates refuted by concrete execution so far (the
-        /// pre-SMT refutation stage: no solver query was built for them).
-        refuted_by_testing: u64,
-        /// Cache-miss candidates the refutation batch could not decide, so
-        /// they escalated to the SMT solver.
-        smt_escalations: u64,
+        /// Equivalence-checker counters so far: solver queries, hits per
+        /// cache layer, window hits and fallbacks, refutations, escalations
+        /// and window facts. The
+        /// [`bpf_equiv::EquivStats::counts_only`] projection: wall-clock
+        /// fields are zeroed.
+        equiv: bpf_equiv::EquivStats,
+        /// Safety-checker counters so far: candidates the abstract
+        /// interpreter checked, accepted and rejected.
+        safety: bpf_safety::SafetyStats,
         /// Entries in the shared cache after the barrier's publish step.
         shared_cache_entries: usize,
         /// Counterexamples in the merged cross-chain pool.
         counterexample_pool: usize,
-        /// Candidates safety-checked by the abstract interpreter so far.
-        safety_screens: u64,
-        /// Checked candidates the abstract interpreter rejected as unsafe.
-        safety_screen_rejects: u64,
-        /// Precondition constraints asserted on windowed checks from
-        /// abstract-interpretation facts about the source program.
-        static_window_facts: u64,
     },
     /// An epoch completed and its barrier exchanges ran.
     EpochBarrier {

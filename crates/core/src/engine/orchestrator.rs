@@ -15,7 +15,6 @@ use crate::params::EngineConfig;
 use crate::proposals::ProposalGenerator;
 use crate::search::{ChainStats, MarkovChain};
 use bpf_equiv::{CacheStats, EquivStats};
-use bpf_interp::BackendKind;
 use bpf_isa::Program;
 use k2_telemetry::{TelemetryRef, TelemetrySnapshot};
 use std::sync::Arc;
@@ -166,23 +165,8 @@ pub fn run_search(src: &Program, opts: &CompilerOptions) -> EngineOutcome {
             let seed = opts
                 .seed
                 .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(idx as u64 + 1));
-            let mut cost_settings = params.cost;
-            if opts.backend != BackendKind::Auto {
-                cost_settings.backend = opts.backend;
-            }
-            cost_settings.window_verification = opts.window_verification;
-            cost_settings.refute_inputs = opts.refute_inputs;
-            cost_settings.incremental_sat = opts.incremental_sat;
-            cost_settings.static_analysis = opts.static_analysis;
             let shared = cfg.shared_cache.then(|| Arc::clone(ctx.cache()));
-            let mut cost = CostFunction::with_shared_cache(
-                src,
-                cost_settings,
-                opts.goal,
-                opts.num_tests,
-                seed,
-                shared,
-            );
+            let mut cost = CostFunction::with_shared_cache(src, opts, params.cost, seed, shared);
             cost.set_telemetry(telemetry.clone());
             let generator = ProposalGenerator::new(src, params.rules, seed);
             param_ids.push(params.id);
@@ -288,19 +272,10 @@ pub fn run_search(src: &Program, opts: &CompilerOptions) -> EngineOutcome {
             }
             sink.emit(SearchEvent::SolverStats {
                 epoch,
-                queries: equiv.queries,
-                cache_hits: equiv.cache_hits,
-                shared_cache_hits: equiv.shared_cache_hits,
-                cache_misses: equiv.cache_misses,
-                window_hits: equiv.window_hits,
-                window_fallbacks: equiv.window_fallbacks,
-                refuted_by_testing: equiv.refuted_by_testing,
-                smt_escalations: equiv.smt_escalations,
+                equiv: equiv.counts_only(),
+                safety,
                 shared_cache_entries: ctx.cache().len(),
                 counterexample_pool: ctx.pool().len(),
-                safety_screens: safety.checked,
-                safety_screen_rejects: safety.unsafe_found,
-                static_window_facts: equiv.static_window_facts,
             });
         }
         sink.emit(SearchEvent::EpochBarrier {

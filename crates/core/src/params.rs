@@ -4,7 +4,6 @@
 
 use crate::cost::{CostSettings, DiffMetric, ErrorNormalization, TestCountMode};
 use crate::proposals::RuleProbabilities;
-use bpf_interp::BackendKind;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the epoch-based search engine: how chains are scheduled,
@@ -110,11 +109,6 @@ impl SearchParams {
                     alpha: 0.5,
                     beta: 5.0,
                     gamma: 1.0,
-                    backend: BackendKind::Auto,
-                    window_verification: true,
-                    refute_inputs: 64,
-                    incremental_sat: true,
-                    static_analysis: true,
                 },
                 rules: base_rules(0.2, 0.4, 0.15, 0.2, 0.0, 0.05),
             },
@@ -127,11 +121,6 @@ impl SearchParams {
                     alpha: 0.5,
                     beta: 5.0,
                     gamma: 1.0,
-                    backend: BackendKind::Auto,
-                    window_verification: true,
-                    refute_inputs: 64,
-                    incremental_sat: true,
-                    static_analysis: true,
                 },
                 rules: base_rules(0.17, 0.33, 0.15, 0.17, 0.0, 0.18),
             },
@@ -144,11 +133,6 @@ impl SearchParams {
                     alpha: 0.5,
                     beta: 5.0,
                     gamma: 1.0,
-                    backend: BackendKind::Auto,
-                    window_verification: true,
-                    refute_inputs: 64,
-                    incremental_sat: true,
-                    static_analysis: true,
                 },
                 rules: base_rules(0.2, 0.4, 0.15, 0.2, 0.0, 0.05),
             },
@@ -161,11 +145,6 @@ impl SearchParams {
                     alpha: 0.5,
                     beta: 5.0,
                     gamma: 1.0,
-                    backend: BackendKind::Auto,
-                    window_verification: true,
-                    refute_inputs: 64,
-                    incremental_sat: true,
-                    static_analysis: true,
                 },
                 rules: base_rules(0.17, 0.33, 0.15, 0.0, 0.17, 0.18),
             },
@@ -178,11 +157,6 @@ impl SearchParams {
                     alpha: 0.5,
                     beta: 1.5,
                     gamma: 1.0,
-                    backend: BackendKind::Auto,
-                    window_verification: true,
-                    refute_inputs: 64,
-                    incremental_sat: true,
-                    static_analysis: true,
                 },
                 rules: base_rules(0.17, 0.33, 0.15, 0.0, 0.17, 0.18),
             },
@@ -218,11 +192,6 @@ impl SearchParams {
                                 alpha: 0.5,
                                 beta: 5.0,
                                 gamma: 1.0,
-                                backend: BackendKind::Auto,
-                                window_verification: true,
-                                refute_inputs: 64,
-                                incremental_sat: true,
-                                static_analysis: true,
                             },
                             rules,
                         });

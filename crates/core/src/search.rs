@@ -84,7 +84,7 @@ impl MarkovChain {
         // same-seed runs stay bit-identical. The draw happens only when the
         // stage is enabled: with `refute_inputs = 0` the acceptance-decision
         // stream is exactly the pre-refuter one.
-        if cost.settings.refute_inputs > 0 {
+        if cost.has_refuter_batch() {
             let refute_seed = rng.gen::<u64>();
             cost.install_refuter(refute_seed);
         }
@@ -207,20 +207,18 @@ impl MarkovChain {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compiler::OptimizationGoal;
+    use crate::compiler::CompilerOptions;
     use crate::cost::CostSettings;
     use crate::proposals::RuleProbabilities;
     use bpf_interp::{run, InputGenerator};
     use bpf_isa::{asm, ProgramType};
 
     fn chain_for(src: &Program, seed: u64) -> MarkovChain {
-        let cost = CostFunction::new(
-            src,
-            CostSettings::default(),
-            OptimizationGoal::InstructionCount,
-            8,
-            seed,
-        );
+        let opts = CompilerOptions {
+            num_tests: 8,
+            ..CompilerOptions::default()
+        };
+        let cost = CostFunction::new(src, &opts, CostSettings::default(), seed);
         let generator = ProposalGenerator::new(src, RuleProbabilities::default(), seed);
         MarkovChain::new(cost, generator, seed)
     }
@@ -322,11 +320,12 @@ mod tests {
             asm::assemble("mov64 r0, 5\nadd64 r0, 7\nadd64 r0, 0\nmov64 r3, 9\nexit").unwrap(),
         );
         let run_with = |static_analysis: bool| {
-            let settings = CostSettings {
+            let opts = CompilerOptions {
+                num_tests: 8,
                 static_analysis,
-                ..CostSettings::default()
+                ..CompilerOptions::default()
             };
-            let cost = CostFunction::new(&src, settings, OptimizationGoal::InstructionCount, 8, 42);
+            let cost = CostFunction::new(&src, &opts, CostSettings::default(), 42);
             let generator = ProposalGenerator::new(&src, RuleProbabilities::default(), 42);
             let mut chain = MarkovChain::new(cost, generator, 42);
             let stats = chain.run(600);

@@ -6,7 +6,7 @@
 //! ```
 
 use bpf_isa::{asm, MapDef, Program, ProgramType};
-use bpf_safety::{LinuxVerifier, SafetyChecker, SafetyConfig};
+use bpf_safety::{LinuxVerifier, SafetyChecker};
 
 fn main() {
     let cases: Vec<(&str, Program)> = vec![
@@ -56,7 +56,7 @@ fn main() {
         ),
     ];
 
-    let mut k2_checker = SafetyChecker::new(SafetyConfig::default());
+    let mut k2_checker = SafetyChecker::default();
     let kernel = LinuxVerifier::default();
     for (label, prog) in &cases {
         let k2_verdict = k2_checker.check(prog);

@@ -19,7 +19,7 @@
 use bpf_analysis::{analyze, AbsintConfig, ScalarRange};
 use bpf_interp::{run, InputGenerator};
 use bpf_isa::{asm, AluOp, Insn, JmpOp, MemSize, Program, ProgramType, Reg, Src};
-use bpf_safety::{LinuxVerifier, SafetyChecker, SafetyConfig, Verdict};
+use bpf_safety::{LinuxVerifier, SafetyChecker, Verdict};
 use k2_core::proposals::RuleProbabilities;
 use k2_core::ProposalGenerator;
 use rand::rngs::StdRng;
@@ -165,7 +165,7 @@ fn random_program(rng: &mut StdRng) -> Program {
 fn random_sweep_is_dynamically_sound() {
     let mut rng = StdRng::seed_from_u64(0x5eed_ab51);
     let mut generator = InputGenerator::new(0xab51);
-    let mut checker = SafetyChecker::new(SafetyConfig::default());
+    let mut checker = SafetyChecker::default();
     for case in 0..1_000usize {
         let prog = random_program(&mut rng);
         if checker.is_safe(&prog) {
@@ -199,7 +199,7 @@ const PACKET_LENS: [usize; 10] = [1, 14, 18, 34, 42, 54, 60, 64, 256, 1500];
 
 #[test]
 fn proposal_stream_accepts_never_trap() {
-    let mut checker = SafetyChecker::new(SafetyConfig::default());
+    let mut checker = SafetyChecker::default();
     let mut runs = 0u64;
     for bench in bpf_bench_suite::all() {
         let (_, baseline) = k2::baseline::best_baseline(&bench.prog);
@@ -320,7 +320,7 @@ fn must_reject_corpus_matches_the_legacy_checker() {
         ),
     ];
 
-    let mut checker = SafetyChecker::new(SafetyConfig::default());
+    let mut checker = SafetyChecker::default();
     let kernel = LinuxVerifier::default();
     for (label, text, recorded) in corpus {
         let prog = Program::new(ProgramType::Xdp, asm::assemble(text).unwrap());

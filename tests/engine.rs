@@ -6,7 +6,7 @@ use bpf_isa::{asm, Program, ProgramType};
 use k2_core::engine::SearchContext;
 use k2_core::{
     optimize_with, ChainStats, CompilerOptions, CostFunction, CostSettings, EngineConfig, K2Result,
-    OptimizationGoal, SearchParams,
+    SearchParams,
 };
 use std::sync::Arc;
 
@@ -98,19 +98,21 @@ fn counterexamples_propagate_between_chains_through_the_context() {
     let cand = xdp("mov64 r0, 64\nexit");
 
     let mut ctx = SearchContext::new();
+    let opts = CompilerOptions {
+        num_tests: 4,
+        ..CompilerOptions::default()
+    };
     let mut chain_a = CostFunction::with_shared_cache(
         &src,
+        &opts,
         CostSettings::default(),
-        OptimizationGoal::InstructionCount,
-        4,
         1,
         Some(Arc::clone(ctx.cache())),
     );
     let mut chain_b = CostFunction::with_shared_cache(
         &src,
+        &opts,
         CostSettings::default(),
-        OptimizationGoal::InstructionCount,
-        4,
         2, // different seed — different initial test suite
         Some(Arc::clone(ctx.cache())),
     );

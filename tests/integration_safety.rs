@@ -3,7 +3,7 @@
 
 use bpf_interp::{run, InputGenerator};
 use bpf_isa::{asm, MapDef, Program, ProgramType};
-use bpf_safety::{LinuxVerifier, SafetyChecker, SafetyConfig, Verdict};
+use bpf_safety::{LinuxVerifier, SafetyChecker, Verdict};
 
 fn xdp(text: &str, maps: Vec<MapDef>) -> Program {
     Program::with_maps(ProgramType::Xdp, asm::assemble(text).unwrap(), maps)
@@ -13,7 +13,7 @@ fn xdp(text: &str, maps: Vec<MapDef>) -> Program {
 fn programs_accepted_by_the_checker_never_trap_in_the_interpreter() {
     // Soundness direction of the checker model: accepted programs must not
     // exhibit unsafe behaviour on any generated input.
-    let mut checker = SafetyChecker::new(SafetyConfig::default());
+    let mut checker = SafetyChecker::default();
     for bench in bpf_bench_suite::all() {
         assert!(
             checker.is_safe(&bench.prog),
@@ -60,7 +60,7 @@ fn unsafe_programs_are_rejected_and_do_trap() {
 
 #[test]
 fn kernel_checker_and_k2_safety_checker_agree_on_the_benchmarks() {
-    let mut k2 = SafetyChecker::new(SafetyConfig::default());
+    let mut k2 = SafetyChecker::default();
     let kernel = LinuxVerifier::default();
     for bench in bpf_bench_suite::all() {
         assert_eq!(
